@@ -17,14 +17,14 @@
 //
 // -mmap maps snapshots instead of eagerly decoding them (per-shard lazy
 // decode on first touch), -flush-batch tunes the tuples-per-flush batch
-// of the stream writers, and -pprof exposes the net/http/pprof profiling
-// endpoints under /debug/pprof/ on the same listener. -cache-bytes N
-// turns on the hot-binding result cache (DESIGN.md §8): repeated
-// bindings replay their encoded result stream from memory under an N-byte
-// LRU budget, concurrent misses for one key coalesce into a single
-// enumeration, and /v1/reload (or attach/detach) invalidates stale
-// entries by registry generation — hit/miss/evict/coalesce counters show
-// up in /v1/stats.
+// of result streams in both formats, and -pprof exposes the
+// net/http/pprof profiling endpoints under /debug/pprof/ on the same
+// listener. -cache-bytes N turns on the hot-binding result cache
+// (DESIGN.md §8): repeated bindings replay their encoded result stream
+// from memory under an N-byte LRU budget, concurrent misses for one key
+// coalesce into a single enumeration, and /v1/reload (or attach/detach)
+// invalidates stale entries by registry generation — hit/miss/evict/
+// coalesce counters show up in /v1/stats.
 //
 // -wal-dir <dir> arms durable-update recovery (DESIGN.md §9): on startup
 // every view replays its <dir>/<view>.wal tail — churn a crashed writer
@@ -101,7 +101,7 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&cfg.workers, "workers", 0, "serving workers per view (0 = GOMAXPROCS)")
 	fs.IntVar(&cfg.buffer, "buffer", 0, "per-request result buffer in tuples (0 = default 256)")
-	fs.IntVar(&cfg.flushBatch, "flush-batch", 0, "tuples batched per stream flush (0 = default 128)")
+	fs.IntVar(&cfg.flushBatch, "flush-batch", 0, "tuples batched per stream flush in both formats, after a first tuple flushed alone (0 = default 128)")
 	fs.Int64Var(&cfg.cacheBytes, "cache-bytes", 0, "hot-binding result cache budget in bytes (0 = caching off); entries are invalidated by registry generation on reload/attach/detach")
 	fs.BoolVar(&cfg.mmap, "mmap", false, "mmap snapshots instead of eager decode (lazy per-shard decode on first touch)")
 	fs.BoolVar(&cfg.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/ on the listen address")

@@ -25,9 +25,10 @@
 // let the coordinator distinguish a worker that finished from a worker
 // that died mid-stream (surfaced to the client as the IterErr-style
 // terminal, never silent truncation), and its fixed-width frames keep the
-// fan-in allocation-lean. The coordinator re-encodes into the client's
-// Accept-negotiated format with the same encoder the workers themselves
-// use.
+// fan-in allocation-lean. The coordinator serves queries through the
+// same request path as a worker (httpserve.Front), so the merged stream is
+// re-encoded into the client's Accept-negotiated format by the workers'
+// own encoder, with the same headers.
 package coord
 
 import (
@@ -59,8 +60,8 @@ type Options struct {
 	// fresh temp directory.
 	SpoolDir string
 	// FlushBatch is the steady-state tuples-per-flush of client-facing
-	// binary streams; <= 0 means the httpserve default. Byte identity with
-	// a single node requires the same value on both.
+	// streams in both formats; <= 0 means the httpserve default. Byte
+	// identity with a single node requires the same value on both.
 	FlushBatch int
 	// MaxBodyBytes caps a query request body; <= 0 means 1 MiB.
 	MaxBodyBytes int64
@@ -151,7 +152,7 @@ type workerStats struct {
 type Coordinator struct {
 	opts  Options
 	mux   *http.ServeMux
-	start time.Time
+	front *httpserve.Front // the shared query path and its counters
 
 	views map[string]*viewMeta
 	names []string // sorted
@@ -169,15 +170,6 @@ type Coordinator struct {
 
 	workersMu sync.Mutex
 	workers   map[string]*workerStats
-
-	requests        atomic.Uint64
-	errors          atomic.Uint64
-	tuples          atomic.Uint64
-	streamsComplete atomic.Uint64
-	streamsErrored  atomic.Uint64
-	streamsAborted  atomic.Uint64
-	delay           httpserve.LatencyHist
-	total           httpserve.LatencyHist
 }
 
 // New loads every snapshot, exports its shards into the spool directory,
@@ -198,7 +190,6 @@ func New(paths []string, opts Options) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		opts:    opts,
-		start:   time.Now(),
 		views:   make(map[string]*viewMeta, len(paths)),
 		workers: make(map[string]*workerStats),
 	}
@@ -215,16 +206,17 @@ func New(paths []string, opts Options) (*Coordinator, error) {
 	}
 	sort.Strings(c.names)
 	c.cache = httpserve.NewResultCache(opts.CacheBytes) // nil when caching is off
+	c.front = httpserve.NewFront(c.resolve, http.StatusBadGateway, opts.MaxBodyBytes, opts.FlushBatch, c.cache)
 	c.smap.Store(c.emptyMap())
 	if c.cache != nil {
 		c.cache.SetGeneration(c.smap.Load().gen)
 	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/query/{view}", c.handleQuery)
+	mux.HandleFunc("POST /v1/query/{view}", c.front.ServeQuery)
 	mux.HandleFunc("GET /v1/views", c.handleViews)
 	mux.HandleFunc("GET /v1/stats", c.handleStats)
-	mux.HandleFunc("GET /healthz", c.handleHealth)
+	mux.HandleFunc("GET /healthz", httpserve.HandleHealth)
 	mux.HandleFunc("GET /readyz", c.handleReady)
 	mux.HandleFunc("POST /v1/join", c.handleJoin)
 	mux.HandleFunc("POST /v1/move", c.handleMove)
@@ -489,15 +481,22 @@ func (c *Coordinator) applyAssignment(ctx context.Context, desired map[string][]
 		old.retire()
 		// The old generation has drained: no stream can still be reading a
 		// moved shard from its previous owner. Detach is best-effort — a
-		// dead worker has nothing to detach.
+		// dead worker has nothing to detach. It runs under c.mu against the
+		// live map: a later rebalance may have moved the shard back to its
+		// previous owner while this generation drained, and detaching then
+		// would remove the copy that owner serves again.
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		live := c.smap.Load()
 		for _, mv := range moves {
-			if mv.from != "" && mv.from != mv.to {
-				// Detach outlives the move request on purpose, so it
-				// detaches from ctx's cancellation but keeps its values.
-				dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
-				c.workerClient(mv.from).Detach(dctx, scopedName(mv.view, mv.shard))
-				cancel()
+			if mv.from == "" || mv.from == mv.to || (live != nil && live.owners[mv.view][mv.shard] == mv.from) {
+				continue
 			}
+			// Detach outlives the move request on purpose, so it detaches
+			// from ctx's cancellation but keeps its values.
+			dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
+			c.workerClient(mv.from).Detach(dctx, scopedName(mv.view, mv.shard))
+			cancel()
 		}
 	}()
 	return nil
@@ -534,25 +533,13 @@ func (c *Coordinator) CacheStats() (httpserve.CacheStats, bool) {
 	return c.cache.Stats(), true
 }
 
-func (c *Coordinator) errorJSON(w http.ResponseWriter, status int, format string, args ...any) {
-	c.errors.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"ok": true})
-}
-
 // handleReady reports ready only when every shard of every view has an
 // owner: a coordinator with coverage gaps would 503 a routed request, so
 // it must not receive traffic yet.
 func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
 	sm := c.smap.Load()
 	if sm == nil {
-		c.errorJSON(w, http.StatusServiceUnavailable, "coordinator is shutting down")
+		c.front.ErrorJSON(w, http.StatusServiceUnavailable, "coordinator is shutting down")
 		return
 	}
 	assigned, total := 0, 0
@@ -560,7 +547,7 @@ func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
 		for i, owner := range sm.owners[name] {
 			total++
 			if owner == "" {
-				c.errorJSON(w, http.StatusServiceUnavailable, "shard %s unassigned (%d/%d assigned)", scopedName(name, i), assigned, total)
+				c.front.ErrorJSON(w, http.StatusServiceUnavailable, "shard %s unassigned (%d/%d assigned)", scopedName(name, i), assigned, total)
 				return
 			}
 			assigned++
@@ -581,7 +568,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		URL string `json:"url"`
 	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil || req.URL == "" {
-		c.errorJSON(w, http.StatusBadRequest, "join wants {\"url\": worker-base-url}")
+		c.front.ErrorJSON(w, http.StatusBadRequest, "join wants {\"url\": worker-base-url}")
 		return
 	}
 	if err := c.Join(r.Context(), req.URL); err != nil {
@@ -589,7 +576,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, core.ErrClosed) {
 			status = http.StatusServiceUnavailable
 		}
-		c.errorJSON(w, status, "join %s: %v", req.URL, err)
+		c.front.ErrorJSON(w, status, "join %s: %v", req.URL, err)
 		return
 	}
 	sm := c.smap.Load()
@@ -614,7 +601,7 @@ func (c *Coordinator) handleMove(w http.ResponseWriter, r *http.Request) {
 		Worker string `json:"worker"`
 	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil || req.View == "" || req.Worker == "" {
-		c.errorJSON(w, http.StatusBadRequest, "move wants {\"view\":..., \"shard\":..., \"worker\":...}")
+		c.front.ErrorJSON(w, http.StatusBadRequest, "move wants {\"view\":..., \"shard\":..., \"worker\":...}")
 		return
 	}
 	if err := c.Move(r.Context(), req.View, req.Shard, req.Worker); err != nil {
@@ -622,7 +609,7 @@ func (c *Coordinator) handleMove(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, core.ErrClosed) {
 			status = http.StatusServiceUnavailable
 		}
-		c.errorJSON(w, status, "move: %v", err)
+		c.front.ErrorJSON(w, status, "move: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -632,7 +619,7 @@ func (c *Coordinator) handleMove(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleMap(w http.ResponseWriter, r *http.Request) {
 	sm := c.smap.Load()
 	if sm == nil {
-		c.errorJSON(w, http.StatusServiceUnavailable, "coordinator is shutting down")
+		c.front.ErrorJSON(w, http.StatusServiceUnavailable, "coordinator is shutting down")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -646,12 +633,12 @@ func (c *Coordinator) handleMap(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleShardFile(w http.ResponseWriter, r *http.Request) {
 	vm, ok := c.views[r.PathValue("view")]
 	if !ok {
-		c.errorJSON(w, http.StatusNotFound, "unknown view %q", r.PathValue("view"))
+		c.front.ErrorJSON(w, http.StatusNotFound, "unknown view %q", r.PathValue("view"))
 		return
 	}
 	shard, err := strconv.Atoi(r.PathValue("shard"))
 	if err != nil || shard < 0 || shard >= len(vm.files) {
-		c.errorJSON(w, http.StatusNotFound, "view %q has shards [0,%d)", vm.name, len(vm.files))
+		c.front.ErrorJSON(w, http.StatusNotFound, "view %q has shards [0,%d)", vm.name, len(vm.files))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -661,7 +648,7 @@ func (c *Coordinator) handleShardFile(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleViews(w http.ResponseWriter, r *http.Request) {
 	sm := c.smap.Load()
 	if sm == nil {
-		c.errorJSON(w, http.StatusServiceUnavailable, "coordinator is shutting down")
+		c.front.ErrorJSON(w, http.StatusServiceUnavailable, "coordinator is shutting down")
 		return
 	}
 	type viewsResponse struct {
@@ -703,7 +690,7 @@ type WorkerReport struct {
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	sm := c.smap.Load()
 	if sm == nil {
-		c.errorJSON(w, http.StatusServiceUnavailable, "coordinator is shutting down")
+		c.front.ErrorJSON(w, http.StatusServiceUnavailable, "coordinator is shutting down")
 		return
 	}
 	c.workersMu.Lock()
@@ -723,23 +710,17 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	c.workersMu.Unlock()
-	resp := map[string]any{
-		"uptime_ms":        time.Since(c.start).Milliseconds(),
-		"generation":       sm.gen,
-		"requests":         c.requests.Load(),
-		"errors":           c.errors.Load(),
-		"tuples":           c.tuples.Load(),
-		"streams_complete": c.streamsComplete.Load(),
-		"streams_errored":  c.streamsErrored.Load(),
-		"streams_aborted":  c.streamsAborted.Load(),
-		"first_tuple":      c.delay.Summary(),
-		"total":            c.total.Summary(),
-		"workers":          reports,
-	}
+	// The shared keys and the "cache" block have a cqserve node's shape,
+	// so one stats consumer (cqload's hit-ratio report) reads either tier.
+	resp := struct {
+		httpserve.QueryStats
+		Generation uint64                `json:"generation"`
+		Cache      *httpserve.CacheStats `json:"cache,omitempty"`
+		Workers    []WorkerReport        `json:"workers"`
+	}{QueryStats: c.front.Stats(), Generation: sm.gen, Workers: reports}
 	if c.cache != nil {
-		// The same "cache" block shape as a cqserve node, so one stats
-		// consumer (cqload's hit-ratio report) reads either tier.
-		resp["cache"] = c.cache.Stats()
+		cs := c.cache.Stats()
+		resp.Cache = &cs
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)

@@ -91,23 +91,7 @@ func startClusterCached(t *testing.T, paths []string, nWorkers, flushBatch int, 
 	cptr.Store(c)
 	cl.coord = c
 	for i := 0; i < nWorkers; i++ {
-		wh, err := httpserve.NewSpecs(nil, httpserve.Options{Admin: true, SpoolDir: t.TempDir(), Workers: 2, FlushBatch: flushBatch})
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-		wts := httptest.NewServer(wh)
-		cl.workers = append(cl.workers, wh)
-		cl.workerTS = append(cl.workerTS, wts)
-		body, _ := json.Marshal(map[string]string{"url": wts.URL})
-		resp, err := http.Post(cl.coordTS.URL+"/v1/join", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("joining worker %d: %v", i, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			b, _ := io.ReadAll(resp.Body)
-			t.Fatalf("joining worker %d: %s: %s", i, resp.Status, b)
-		}
-		resp.Body.Close()
+		cl.addWorker(t, flushBatch)
 	}
 	t.Cleanup(func() {
 		cl.coordTS.Close()
@@ -120,8 +104,39 @@ func startClusterCached(t *testing.T, paths []string, nWorkers, flushBatch int, 
 	return cl
 }
 
+// addWorker starts one empty admin-mode worker and joins it through the
+// real /v1/join endpoint.
+func (cl *cluster) addWorker(t *testing.T, flushBatch int) {
+	t.Helper()
+	i := len(cl.workers)
+	wh, err := httpserve.NewSpecs(nil, httpserve.Options{Admin: true, SpoolDir: t.TempDir(), Workers: 2, FlushBatch: flushBatch})
+	if err != nil {
+		t.Fatalf("worker %d: %v", i, err)
+	}
+	wts := httptest.NewServer(wh)
+	cl.workers = append(cl.workers, wh)
+	cl.workerTS = append(cl.workerTS, wts)
+	body, _ := json.Marshal(map[string]string{"url": wts.URL})
+	resp, err := http.Post(cl.coordTS.URL+"/v1/join", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("joining worker %d: %v", i, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("joining worker %d: %s: %s", i, resp.Status, b)
+	}
+	resp.Body.Close()
+}
+
 // rawQuery POSTs one query and returns status plus the raw body bytes.
 func rawQuery(t *testing.T, base, view, body string, format httpserve.Format) (int, []byte) {
+	t.Helper()
+	status, _, b := rawQueryHeader(t, base, view, body, format)
+	return status, b
+}
+
+// rawQueryHeader is rawQuery that also returns the response headers.
+func rawQueryHeader(t *testing.T, base, view, body string, format httpserve.Format) (int, http.Header, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, base+"/v1/query/"+view, strings.NewReader(body))
 	if err != nil {
@@ -138,14 +153,15 @@ func rawQuery(t *testing.T, base, view, body string, format httpserve.Format) (i
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, b
+	return resp.StatusCode, resp.Header, b
 }
 
 // TestDistributedByteIdentity is the tentpole property on concrete views:
 // every response body from the coordinator — routed bound-key requests,
 // scattered merged enumerations, limits, misses — equals the single-node
 // body byte for byte, in both encodings, and keeps doing so after a shard
-// moves between workers.
+// moves between workers. The X-Cqrep-View and X-Cqrep-Free headers match
+// the single node's too.
 func TestDistributedByteIdentity(t *testing.T) {
 	dir := t.TempDir()
 	const flushBatch = 3 // tiny batches force frame boundaries inside results
@@ -186,13 +202,18 @@ func TestDistributedByteIdentity(t *testing.T) {
 		t.Helper()
 		for _, rq := range requests {
 			for _, format := range []httpserve.Format{httpserve.FormatNDJSON, httpserve.FormatBinary} {
-				wantStatus, want := rawQuery(t, singleTS.URL, rq.view, rq.body, format)
-				gotStatus, got := rawQuery(t, cl.coordTS.URL, rq.view, rq.body, format)
+				wantStatus, wantHeader, want := rawQueryHeader(t, singleTS.URL, rq.view, rq.body, format)
+				gotStatus, gotHeader, got := rawQueryHeader(t, cl.coordTS.URL, rq.view, rq.body, format)
 				if wantStatus != gotStatus {
 					t.Fatalf("%s: %s %s (%s): status %d != single-node %d", stage, rq.view, rq.body, format, gotStatus, wantStatus)
 				}
 				if !bytes.Equal(want, got) {
 					t.Fatalf("%s: %s %s (%s): body diverges from single node\nwant %q\ngot  %q", stage, rq.view, rq.body, format, want, got)
+				}
+				for _, key := range []string{"X-Cqrep-View", "X-Cqrep-Free"} {
+					if w, g := wantHeader.Get(key), gotHeader.Get(key); w == "" || w != g {
+						t.Fatalf("%s: %s %s (%s): %s = %q, single node sends %q", stage, rq.view, rq.body, format, key, g, w)
+					}
 				}
 			}
 		}
@@ -503,4 +524,62 @@ func TestChurnUnderLoadCached(t *testing.T) {
 	}
 	t.Logf("cached churn: cache %d hits / %d misses / %d coalesced / %d invalidated",
 		st.Hits, st.Misses, st.Coalesced, st.Invalidated)
+}
+
+// TestStaleDetachSkipsReownedShard pins the rebalance detach race: a
+// detach deferred until an old map generation drains must not remove a
+// shard that a later rebalance moved back to the same worker. Shard 3 of
+// a 4-shard view moves w0→w1 on the second join (3 mod 2) and back w1→w0
+// on the third (3 mod 3); holding the second join's old generation open
+// across the third join makes its w0 detach run last, after w0 serves the
+// shard again.
+func TestStaleDetachSkipsReownedShard(t *testing.T) {
+	dir := t.TempDir()
+	paths := []string{buildSnapshot(t, dir, "p", cq.MustParse("P(x1, x2, x3) :- R1(x1, x2), R2(x2, x3)"),
+		workload.PathDB(11, 2, 300, 20), core.WithStrategy(core.DecompositionStrategy), core.WithShards(4))}
+	cl := startCluster(t, paths, 1, 0)
+
+	held := cl.coord.smap.Load()
+	if !held.acquire() {
+		t.Fatal("could not acquire the live shard map")
+	}
+	cl.addWorker(t, 0)
+	cl.addWorker(t, 0)
+	held.release()
+	cl.coord.retired.Wait() // every deferred detach has run
+
+	owners := cl.coord.smap.Load().owners["P"]
+	if owners[3] != cl.workerTS[0].URL {
+		t.Fatalf("shard 3 owned by %s, want the first worker", owners[3])
+	}
+	for i, wts := range cl.workerTS {
+		want := map[string]bool{}
+		for shard, owner := range owners {
+			if owner == wts.URL {
+				want[scopedName("P", shard)] = true
+			}
+		}
+		resp, err := http.Get(wts.URL + "/v1/views")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var views struct {
+			Views []httpserve.ViewInfo `json:"views"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&views)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]bool{}
+		for _, v := range views.Views {
+			got[v.Name] = true
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("worker %d serves %v, the live map assigns it %v", i, got, want)
+		}
+	}
+	if status, _ := rawQuery(t, cl.coordTS.URL, "P", `{}`, httpserve.FormatBinary); status != http.StatusOK {
+		t.Fatalf("full scatter after the joins: status %d", status)
+	}
 }

@@ -2,10 +2,8 @@ package coord
 
 import (
 	"context"
-	"errors"
-	"io"
+	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -14,14 +12,16 @@ import (
 	"cqrep/internal/relation"
 )
 
-// query.go is the coordinator's data path: route or scatter, merge, and
-// re-encode. A bound-key request opens exactly one worker stream (the
-// shard relation.ShardOf names — the partitioner's own hash, so routing
-// can never disagree with placement); a free enumeration opens one stream
-// per shard and k-way merges their heads under the view's EnumOrder with
-// ties broken by shard index, the same comparison the in-process sharded
-// backend's merge iterator uses. Hash partitioning makes the shards
-// disjoint, so the merged stream is byte-identical to a single node's.
+// query.go is the coordinator's half of the shared query path
+// (httpserve.Front): route or scatter, and merge. A bound-key request
+// opens exactly one worker stream (the shard relation.ShardOf names — the
+// partitioner's own hash, so routing can never disagree with placement); a
+// free enumeration opens one stream per shard and k-way merges their heads
+// under the view's EnumOrder with ties broken by shard index, the same
+// comparison the in-process sharded backend's merge iterator uses. Hash
+// partitioning makes the shards disjoint, so the merged stream, which the
+// shared path re-encodes into the client's format, is byte-identical to a
+// single node's.
 //
 // The failure discipline mirrors core.IterErr: the first worker-stream
 // error stops the merge immediately — merging past a dead shard would
@@ -31,163 +31,154 @@ import (
 // truncation on the coordinator's side, never as a clean end, because the
 // worker link always uses the framed binary encoding.
 
-func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	c.requests.Add(1)
-	start := time.Now()
-	vm, ok := c.views[r.PathValue("view")]
+// resolve maps a view name onto its routing card and the shard map
+// generation the request streams on, holding a reference on that
+// generation until Release.
+func (c *Coordinator) resolve(name string, req httpserve.QueryRequest) (httpserve.Query, error) {
+	vm, ok := c.views[name]
 	if !ok {
-		c.errorJSON(w, http.StatusNotFound, "unknown view %q (GET /v1/views lists the registry)", r.PathValue("view"))
-		return
-	}
-	maxBody := c.opts.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = 1 << 20
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		c.errorJSON(w, status, "request body: %v", err)
-		return
-	}
-	req, err := httpserve.ParseBindings(body)
-	if err != nil {
-		c.errorJSON(w, http.StatusBadRequest, "%v", err)
-		return
+		return httpserve.Query{}, httpserve.StatusErrorf(http.StatusNotFound, "unknown view %q (GET /v1/views lists the registry)", name)
 	}
 	vb, err := vm.rep.Bind(req.Bindings)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, core.ErrBadBinding) {
-			status = http.StatusBadRequest
-		}
-		c.errorJSON(w, status, "%v", err)
-		return
+		return httpserve.Query{}, err
 	}
-	format := httpserve.NegotiateFormat(r.Header.Get("Accept"))
-
 	sm := c.smap.Load()
-	if sm == nil || !sm.acquire() {
-		// The map is swapped strictly before the old generation retires, so
-		// one reload suffices (unlike pool entries, a map cannot retire
-		// between Load and acquire more than transiently).
-		if sm = c.smap.Load(); sm == nil || !sm.acquire() {
-			c.errorJSON(w, http.StatusServiceUnavailable, "coordinator is shutting down")
-			return
-		}
+	if sm == nil {
+		return httpserve.Query{}, httpserve.StatusErrorf(http.StatusServiceUnavailable, "coordinator is shutting down")
 	}
-	defer sm.release()
-
-	shards := make([]int, 0, vm.shards)
+	if !sm.acquire() {
+		return httpserve.Query{}, core.ErrClosed // swapped under us: resolve on the successor
+	}
+	s := &scatter{vm: vm, sm: sm, c: c, req: req}
 	if vm.keyIdx >= 0 {
-		shards = append(shards, relation.ShardOf(vb[vm.keyIdx], vm.shards))
+		s.add(relation.ShardOf(vb[vm.keyIdx], vm.shards))
 	} else {
 		for i := 0; i < vm.shards; i++ {
-			shards = append(shards, i)
+			s.add(i)
 		}
 	}
-	owners := sm.owners[vm.name]
-	for _, s := range shards {
-		if owners[s] == "" {
-			c.errorJSON(w, http.StatusServiceUnavailable, "shard %s has no worker yet", scopedName(vm.name, s))
-			return
+	for _, ss := range s.streams {
+		if ss.worker == "" {
+			sm.release()
+			return httpserve.Query{}, httpserve.StatusErrorf(http.StatusServiceUnavailable, "shard %s has no worker yet", scopedName(vm.name, ss.shard))
 		}
 	}
-
-	// The merged-result cache sits above the fan-out: a hit replays the
-	// encoded client stream with zero worker hops. The key carries the
-	// acquired map generation, so a rebalance invalidates by construction
-	// — a hit is always bytes merged under the generation this request
-	// itself holds a reference on.
-	var flight *httpserve.CacheFlight
-	if c.cache != nil && req.Limit == 0 {
-		res := c.cache.Acquire(vm.name, sm.gen, format, string(vb.AppendEncode(nil)))
-		if res.Hit {
-			c.serveCached(w, format, res.Body, res.Tuples, start)
-			return
-		}
-		if res.Leader {
-			flight = res.Flight
-		} else if body, tuples, ok := res.Flight.Wait(r.Context()); ok {
-			c.serveCached(w, format, body, tuples, start)
-			return
-		}
-		// A failed flight falls through to a direct scatter (no flight):
-		// coalescing never turns the leader's failure into ours.
-	}
-
-	disp := c.runScatter(w, r, vm, owners, shards, req, format, start, flight)
-	switch disp {
-	case streamErrored:
-		c.streamsErrored.Add(1)
-	case streamAborted:
-		c.streamsAborted.Add(1)
-	default:
-		c.streamsComplete.Add(1)
-	}
-	c.total.Add(time.Since(start))
+	return httpserve.Query{
+		Source: s,
+		View:   vm.name,
+		Bound:  vb,
+		Gen:    sm.gen,
+		Arity:  vm.arity,
+	}, nil
 }
 
-// serveCached replays one cached merged stream with the counters a live
-// complete scatter would have bumped.
-func (c *Coordinator) serveCached(w http.ResponseWriter, format httpserve.Format, body []byte, tuples int, start time.Time) {
-	w.Header().Set("Content-Type", format.MediaType())
-	if tuples > 0 {
-		c.delay.Add(time.Since(start))
-	}
-	w.Write(body)
-	if flusher, ok := w.(http.Flusher); ok {
-		flusher.Flush()
-	}
-	c.tuples.Add(uint64(tuples))
-	c.streamsComplete.Add(1)
-	c.total.Add(time.Since(start))
+// scatter is one routed or scattered request. As the query's Source it
+// opens a worker stream per target shard; as the iterator Open returns it
+// is their k-way merge.
+type scatter struct {
+	start   time.Time
+	err     error
+	c       *Coordinator
+	vm      *viewMeta
+	sm      *shardMap
+	req     httpserve.QueryRequest
+	streams []*shardStream
+	last    *shardStream // the stream whose head Next returned last
 }
 
-// runScatter wraps streamScatter with the cache-fill discipline: a led
-// flight tees the response bytes and publishes them on a complete stream,
-// or is abandoned on any other outcome so waiters fall back.
-func (c *Coordinator) runScatter(w http.ResponseWriter, r *http.Request, vm *viewMeta, owners []string, shards []int, req httpserve.QueryRequest, format httpserve.Format, start time.Time, flight *httpserve.CacheFlight) streamDisposition {
-	if flight == nil {
-		disp, _ := c.streamScatter(w, r, vm, owners, shards, req, format, start)
-		return disp
+func (s *scatter) add(shard int) {
+	owner := s.sm.owners[s.vm.name][shard]
+	s.streams = append(s.streams, &shardStream{shard: shard, worker: owner})
+}
+
+// Open dials every target shard's owner in parallel and primes the merge
+// heads. Any worker that cannot be opened fails the request before a byte
+// is written.
+func (s *scatter) Open(ctx context.Context) (core.Iterator, error) {
+	s.start = time.Now()
+	var wg sync.WaitGroup
+	for _, ss := range s.streams {
+		ss.ws = s.c.statsFor(ss.worker)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ss.ws.requests.Add(1)
+			st, err := s.c.workerClient(ss.worker).Open(ctx, scopedName(s.vm.name, ss.shard), httpserve.QueryOptions{
+				Bindings: s.req.Bindings,
+				Limit:    s.req.Limit, // a merged prefix of L draws only from per-shard prefixes of L
+				Format:   httpserve.FormatBinary,
+			})
+			if err != nil {
+				ss.err = err
+				ss.ws.errors.Add(1)
+				return
+			}
+			ss.st = st
+		}()
 	}
-	tee := httpserve.NewCacheTee(w, c.cache.MaxEntryBytes())
-	disp, n := c.streamScatter(tee, r, vm, owners, shards, req, format, start)
-	if disp == streamComplete {
-		if body, ok := tee.Captured(); ok {
-			c.cache.Publish(flight, body, n)
-			return disp
+	wg.Wait()
+	for _, ss := range s.streams {
+		if ss.st == nil {
+			return nil, fmt.Errorf("worker %s shard %d: %v", ss.worker, ss.shard, ss.err)
 		}
 	}
-	c.cache.Abandon(flight)
-	return disp
+	for _, ss := range s.streams {
+		ss.advance(s.start)
+	}
+	return s, nil
 }
 
-// streamDisposition mirrors httpserve's buckets: complete (clean terminal,
-// including limit-truncated), errored (terminal error delivered), aborted
-// (client gone mid-stream, no clean terminal).
-type streamDisposition int
+// Next returns the least head under the view's EnumOrder. The first shard
+// error wins and stops the merge: past it the merged order can no longer
+// be trusted, and a gapped "complete" stream is exactly the silent
+// truncation the terminal forbids.
+func (s *scatter) Next() (relation.Tuple, bool) {
+	if s.last != nil {
+		s.last.advance(s.start)
+		s.last = nil
+	}
+	for _, ss := range s.streams {
+		if !ss.live && ss.err != nil {
+			s.err = fmt.Errorf("worker %s shard %d: %v", ss.worker, ss.shard, ss.err)
+			return nil, false
+		}
+	}
+	for _, ss := range s.streams {
+		if ss.live && (s.last == nil || tupleLess(ss.head, s.last.head, s.vm.cmpOrder)) {
+			s.last = ss
+		}
+	}
+	if s.last == nil {
+		return nil, false
+	}
+	return s.last.head, true
+}
 
-const (
-	streamComplete streamDisposition = iota
-	streamErrored
-	streamAborted
-)
+// Err is the merge's terminal verdict: nil after a clean end, else the
+// first shard's error.
+func (s *scatter) Err() error { return s.err }
+
+// Release closes the worker streams and drops the map reference.
+func (s *scatter) Release() {
+	for _, ss := range s.streams {
+		if ss.st != nil {
+			ss.st.Close()
+		}
+	}
+	s.sm.release()
+}
 
 // shardStream is one open worker stream plus its merge head.
 type shardStream struct {
-	shard    int
-	worker   string
 	ws       *workerStats
 	st       httpserve.Stream
+	err      error
+	worker   string
 	head     relation.Tuple
+	shard    int
 	live     bool // head holds an undelivered tuple
 	sawTuple bool
-	err      error
 }
 
 // advance pulls the next head; on exhaustion it records the stream's
@@ -208,105 +199,6 @@ func (ss *shardStream) advance(start time.Time) {
 		ss.ws.delay.Add(time.Since(start))
 	}
 	ss.head, ss.live = t, true
-}
-
-// streamScatter opens the worker streams, merges, and re-encodes into the
-// client's format, returning the disposition and the merged tuple count.
-func (c *Coordinator) streamScatter(w http.ResponseWriter, r *http.Request, vm *viewMeta, owners []string, shards []int, req httpserve.QueryRequest, format httpserve.Format, start time.Time) (streamDisposition, int) {
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-
-	streams := make([]*shardStream, len(shards))
-	var wg sync.WaitGroup
-	for i, s := range shards {
-		ss := &shardStream{shard: s, worker: owners[s], ws: c.statsFor(owners[s])}
-		streams[i] = ss
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ss.ws.requests.Add(1)
-			st, err := c.workerClient(ss.worker).Open(ctx, scopedName(vm.name, ss.shard), httpserve.QueryOptions{
-				Bindings: req.Bindings,
-				Limit:    req.Limit, // a merged prefix of L draws only from per-shard prefixes of L
-				Format:   httpserve.FormatBinary,
-			})
-			if err != nil {
-				ss.err = err
-				ss.ws.errors.Add(1)
-				return
-			}
-			ss.st = st
-		}()
-	}
-	wg.Wait()
-	defer func() {
-		for _, ss := range streams {
-			if ss.st != nil {
-				ss.st.Close()
-			}
-		}
-	}()
-	for _, ss := range streams {
-		if ss.st == nil {
-			c.errorJSON(w, http.StatusBadGateway, "worker %s shard %d: %v", ss.worker, ss.shard, ss.err)
-			return streamErrored, 0
-		}
-	}
-
-	sw := httpserve.NewStreamWriter(w, format, vm.arity, c.opts.FlushBatch)
-	for _, ss := range streams {
-		ss.advance(start)
-	}
-	n := 0
-	for {
-		// The first shard error wins and stops the merge: past it the
-		// merged order can no longer be trusted, and a gapped "complete"
-		// stream is exactly the silent truncation the terminal forbids.
-		for _, ss := range streams {
-			if !ss.live && ss.err != nil {
-				return c.failStream(w, sw, ss), n
-			}
-		}
-		var best *shardStream
-		for _, ss := range streams {
-			if ss.live && (best == nil || tupleLess(ss.head, best.head, vm.cmpOrder)) {
-				best = ss
-			}
-		}
-		if best == nil {
-			break
-		}
-		if n == 0 {
-			c.delay.Add(time.Since(start))
-		}
-		if err := sw.Tuple(best.head); err != nil {
-			cancel() // client went away: abandon the fan-out
-			return streamAborted, n
-		}
-		c.tuples.Add(1)
-		n++
-		if req.Limit > 0 && n >= req.Limit {
-			cancel() // stop the remaining worker streams; the client is satisfied
-			break
-		}
-		best.advance(start)
-	}
-	if err := sw.End(); err != nil {
-		return streamAborted, n
-	}
-	return streamComplete, n
-}
-
-// failStream delivers one shard's terminal error to the client: a real 502
-// when nothing has been streamed, the in-band terminal otherwise.
-func (c *Coordinator) failStream(w http.ResponseWriter, sw *httpserve.StreamWriter, ss *shardStream) streamDisposition {
-	if sw.Wrote() == 0 {
-		c.errorJSON(w, http.StatusBadGateway, "worker %s shard %d: %v", ss.worker, ss.shard, ss.err)
-		return streamErrored
-	}
-	c.errors.Add(1)
-	sw.Error("worker " + ss.worker + " shard " + strconv.Itoa(ss.shard) + ": " + ss.err.Error())
-	return streamErrored
 }
 
 // tupleLess is the EnumOrder comparison of the merge: cmpOrder lists every

@@ -31,9 +31,9 @@ import (
 // real view has anywhere near this many bound variables.
 const maxBindings = 4096
 
-// QueryRequest is the decoded body of POST /v1/query/{view}, exported so
-// the coordinator (internal/coord) can parse once and fan the same request
-// out to workers.
+// QueryRequest is the decoded body of POST /v1/query/{view}, exported for
+// the Resolver a front hands to the shared query path: the coordinator
+// (internal/coord) fans the same request out to its workers.
 type QueryRequest struct {
 	Bindings map[string]relation.Value
 	Limit    int // 0 = unlimited

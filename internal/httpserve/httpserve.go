@@ -4,9 +4,9 @@
 // number of remote clients (the ROADMAP's "heavy traffic from millions of
 // users" north star). The wire API is specified in DESIGN.md §5:
 //
-//	POST /v1/query/{view}  JSON bindings in, NDJSON tuples out (streamed
-//	                       in enumeration order, bounded per-request
-//	                       buffers, terminal error object on failure)
+//	POST /v1/query/{view}  JSON bindings in, NDJSON or binary tuples out
+//	                       (streamed in enumeration order, bounded
+//	                       per-request buffers, terminal error on failure)
 //	GET  /v1/views         the registry: names, adornments, strategies
 //	GET  /v1/stats         tuple/shard counts, request/latency counters
 //	POST /v1/reload        re-read the snapshot files and atomically swap
@@ -19,7 +19,6 @@
 package httpserve
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -29,7 +28,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,16 +42,15 @@ type Options struct {
 	// Workers bounds each view's serving pool; <= 0 means GOMAXPROCS.
 	Workers int
 	// Buffer is the per-request result channel capacity; <= 0 means the
-	// core default (256). Together with line-by-line flushing it bounds
-	// the tuples buffered for a slow client.
+	// core default (256). Together with the FlushBatch ramp it bounds the
+	// tuples buffered for a slow client.
 	Buffer int
 	// MaxBodyBytes caps a query request body; <= 0 means 1 MiB.
 	MaxBodyBytes int64
-	// FlushBatch is the steady-state tuples-per-flush of binary result
-	// streams and of the core serving pools (core.WithFlushBatch); <= 0
-	// means defaultFlushBatch. The first tuple of every stream is always
-	// flushed alone, so batching never defers first-answer delay. NDJSON
-	// streams keep per-line flushing regardless.
+	// FlushBatch is the steady-state tuples-per-flush of result streams in
+	// both formats and of the core serving pools (core.WithFlushBatch);
+	// <= 0 means defaultFlushBatch. The first tuple of every stream is
+	// always flushed alone, so batching never defers first-answer delay.
 	FlushBatch int
 	// Mmap loads snapshots through the mmap path (cqrep.LoadMmap):
 	// startup is O(file-open) per snapshot and each view — each shard,
@@ -110,7 +107,7 @@ const defaultFlushBatch = 128
 type Handler struct {
 	opts  Options
 	mux   *http.ServeMux
-	start time.Time
+	front *Front // the shared query path and its counters (query.go)
 
 	// specs is the registry recipe: Reload re-reads it, Attach/Detach
 	// mutate it. Guarded by reloadMu.
@@ -130,22 +127,6 @@ type Handler struct {
 	closeOnce sync.Once
 	closeDone chan struct{}  // closed once every pool has drained
 	retired   sync.WaitGroup // background retire goroutines
-
-	requests atomic.Uint64
-	errors   atomic.Uint64
-	tuples   atomic.Uint64
-	// Stream dispositions: every stream that started (headers committed or
-	// first tuple produced) lands in exactly one bucket. complete includes
-	// limit-truncated streams (the client got what it asked for); errored
-	// means a terminal error reached the client (the IterErr contract);
-	// aborted means the client went away or shutdown cut the stream — the
-	// client did NOT see a clean terminal, so counting it as served would
-	// hide mid-stream terminations.
-	streamsComplete atomic.Uint64
-	streamsErrored  atomic.Uint64
-	streamsAborted  atomic.Uint64
-	delay           LatencyHist // time to first streamed tuple
-	total           LatencyHist // full request wall-clock
 }
 
 // registry is one immutable generation of the view table; Reload builds a
@@ -171,23 +152,10 @@ type viewEntry struct {
 	retired bool
 	idle    chan struct{} // closed when retired with no refs left
 
-	requests        atomic.Uint64
-	streamsComplete atomic.Uint64
-	streamsErrored  atomic.Uint64
-	streamsAborted  atomic.Uint64
-	baseTup         func() int // lazy: materializes mmap-loaded representations
-	wal             walStatus  // recovery outcome when Options.WALDir is set
+	counters viewCounters
+	baseTup  func() int // lazy: materializes mmap-loaded representations
+	wal      walStatus  // recovery outcome when Options.WALDir is set
 }
-
-// streamDisposition is how one started stream ended; see the Handler
-// counter comments for the bucket semantics.
-type streamDisposition int
-
-const (
-	streamComplete streamDisposition = iota
-	streamErrored
-	streamAborted
-)
 
 // acquire takes a reference on the entry; it fails once the entry has
 // been retired by a reload or shutdown (the caller then retries on the
@@ -248,8 +216,9 @@ func New(paths []string, opts Options) (*Handler, error) {
 // spec list: a worker process starts with no views and gains them through
 // Attach as its coordinator assigns shards.
 func NewSpecs(specs []SnapshotSpec, opts Options) (*Handler, error) {
-	h := &Handler{opts: opts, specs: append([]SnapshotSpec(nil), specs...), start: time.Now(), closeDone: make(chan struct{})}
+	h := &Handler{opts: opts, specs: append([]SnapshotSpec(nil), specs...), closeDone: make(chan struct{})}
 	h.cache = NewResultCache(opts.CacheBytes) // nil when caching is off
+	h.front = NewFront(h.resolve, http.StatusInternalServerError, opts.MaxBodyBytes, opts.FlushBatch, h.cache)
 	reg, err := h.loadRegistry(1)
 	if err != nil {
 		return nil, err
@@ -260,11 +229,11 @@ func NewSpecs(specs []SnapshotSpec, opts Options) (*Handler, error) {
 	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/query/{view}", h.handleQuery)
+	mux.HandleFunc("POST /v1/query/{view}", h.front.ServeQuery)
 	mux.HandleFunc("GET /v1/views", h.handleViews)
 	mux.HandleFunc("GET /v1/stats", h.handleStats)
 	mux.HandleFunc("POST /v1/reload", h.handleReload)
-	mux.HandleFunc("GET /healthz", h.handleHealth)
+	mux.HandleFunc("GET /healthz", HandleHealth)
 	mux.HandleFunc("GET /readyz", h.handleReady)
 	if opts.Admin {
 		mux.HandleFunc("POST /v1/attach", h.handleAttach)
@@ -537,375 +506,50 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
 }
 
-// errorJSON writes a one-object JSON error body with the given status.
-func (h *Handler) errorJSON(w http.ResponseWriter, status int, format string, args ...any) {
-	h.errors.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// handleQuery streams one access request as NDJSON: each result tuple is
-// one JSON array line in enumeration order; a stream that dies mid-way
-// ends with one JSON object line {"error": ...} so clients can tell a
-// truncated enumeration from a complete one (see core.IterErr).
-func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
-	h.requests.Add(1)
-	start := time.Now()
-	name := r.PathValue("view")
-
-	maxBody := h.opts.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = 1 << 20
+// resolve is the node's half of the shared query path (query.go): it
+// maps a view name onto its registry entry and takes a reference on it. A
+// retired entry (reload/close raced our registry load) answers
+// core.ErrClosed, and the shared path resolves again on the fresh
+// registry, so the request lands wholly on one generation.
+func (h *Handler) resolve(name string, req QueryRequest) (Query, error) {
+	reg := h.reg.Load()
+	if reg == nil {
+		return Query{}, StatusErrorf(http.StatusServiceUnavailable, "server is shutting down")
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	entry, ok := reg.views[name]
+	if !ok {
+		return Query{}, StatusErrorf(http.StatusNotFound, "unknown view %q (GET /v1/views lists the registry)", name)
+	}
+	if !entry.acquire() {
+		return Query{}, core.ErrClosed
+	}
+	vb, err := entry.rep.Bind(req.Bindings)
 	if err != nil {
-		// Only an actual size overflow is 413; any other read failure
-		// (malformed chunking, client disconnect mid-body) is the
-		// client's bad request, not an oversized one.
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		h.errorJSON(w, status, "request body: %v", err)
-		return
-	}
-	req, err := ParseBindings(body)
-	if err != nil {
-		h.errorJSON(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	format := negotiateFormat(r.Header.Get("Accept"))
-
-	// A retired entry (reload/close raced our registry load) fails fast
-	// with ErrClosed before streaming anything; retry on the fresh
-	// registry so the request lands wholly on one generation.
-	for attempt := 0; attempt < 8; attempt++ {
-		reg := h.reg.Load()
-		if reg == nil {
-			h.errorJSON(w, http.StatusServiceUnavailable, "server is shutting down")
-			return
-		}
-		entry, ok := reg.views[name]
-		if !ok {
-			h.errorJSON(w, http.StatusNotFound, "unknown view %q (GET /v1/views lists the registry)", name)
-			return
-		}
-		if !entry.acquire() {
-			continue
-		}
-		served := h.streamQuery(w, r, entry, req, format, reg.gen, start)
 		entry.release()
-		if served {
-			return
-		}
+		return Query{}, err
 	}
-	h.errorJSON(w, http.StatusServiceUnavailable, "view %q is reloading, retry", name)
+	return Query{
+		Source:   entrySource{entry: entry, vb: vb},
+		counters: &entry.counters,
+		View:     entry.name,
+		Bound:    vb,
+		Gen:      reg.gen,
+		Arity:    len(entry.rep.FreeNames()),
+	}, nil
 }
 
-// streamQuery runs one acquired request to completion. It reports false
-// when the entry's pool was already closed before anything was streamed
-// (the caller retries on the fresh registry). gen is the generation of
-// the registry the entry was acquired from — the cache keys on it, so a
-// replayed stream always belongs to the generation this request loaded.
-func (h *Handler) streamQuery(w http.ResponseWriter, r *http.Request, entry *viewEntry, req QueryRequest, format wireFormat, gen uint64, start time.Time) bool {
-	if h.cache != nil && req.Limit == 0 {
-		if vb, err := entry.rep.Bind(req.Bindings); err == nil {
-			cf := FormatNDJSON
-			if format == formatBinary {
-				cf = FormatBinary
-			}
-			res := h.cache.Acquire(entry.name, gen, cf, string(vb.AppendEncode(nil)))
-			if res.Hit {
-				h.serveCached(w, entry, format, res.Body, res.Tuples, start)
-				return true
-			}
-			if res.Leader {
-				return h.streamLive(w, r, entry, req, format, start, res.Flight)
-			}
-			// Follower: wait for the leader's bytes — they were produced
-			// under the same generation this request acquired. A failed
-			// flight (or our own context expiring while parked) falls
-			// back to computing directly; coalescing never turns one
-			// stream's failure into another's.
-			if body, tuples, ok := res.Flight.Wait(r.Context()); ok {
-				h.serveCached(w, entry, format, body, tuples, start)
-				return true
-			}
-		}
-		// An unbindable request skips the cache and fails on the live
-		// path, which owns the 400 discipline.
-	}
-	return h.streamLive(w, r, entry, req, format, start, nil)
+// entrySource streams one bound valuation from a registry entry's serving
+// pool, holding the entry's reference until Release.
+type entrySource struct {
+	entry *viewEntry
+	vb    relation.Tuple
 }
 
-// serveCached replays one cached encoded stream, with the same headers,
-// counters, and flush behavior a live complete stream would have had.
-func (h *Handler) serveCached(w http.ResponseWriter, entry *viewEntry, format wireFormat, body []byte, tuples int, start time.Time) {
-	entry.requests.Add(1)
-	w.Header().Set("X-Cqrep-View", entry.name)
-	w.Header().Set("X-Cqrep-Free", strconv.Itoa(len(entry.rep.FreeNames())))
-	if format == formatBinary {
-		w.Header().Set("Content-Type", BinaryMediaType)
-	} else {
-		w.Header().Set("Content-Type", NDJSONMediaType)
-	}
-	if tuples > 0 {
-		h.delay.Add(time.Since(start))
-	}
-	w.Write(body)
-	if flusher, ok := w.(http.Flusher); ok {
-		flusher.Flush()
-	}
-	h.tuples.Add(uint64(tuples))
-	h.streamsComplete.Add(1)
-	entry.streamsComplete.Add(1)
-	h.total.Add(time.Since(start))
+func (s entrySource) Open(ctx context.Context) (core.Iterator, error) {
+	return s.entry.srv.SubmitContext(ctx, s.vb)
 }
 
-// streamLive computes and streams one request from the backend. A non-nil
-// flight means this request leads a cache fill: the response bytes are
-// teed into a capture and published on a complete stream, abandoned on
-// any other outcome (so waiters fall back instead of hanging).
-func (h *Handler) streamLive(w http.ResponseWriter, r *http.Request, entry *viewEntry, req QueryRequest, format wireFormat, start time.Time, flight *CacheFlight) bool {
-	published := false
-	if flight != nil {
-		defer func() {
-			if !published {
-				h.cache.Abandon(flight)
-			}
-		}()
-	}
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	it, err := entry.srv.SubmitArgs(ctx, req.Bindings)
-	switch {
-	case errors.Is(err, core.ErrClosed):
-		return false
-	case errors.Is(err, core.ErrBadBinding):
-		h.errorJSON(w, http.StatusBadRequest, "%v", err)
-		return true
-	case err != nil:
-		h.errorJSON(w, http.StatusInternalServerError, "%v", err)
-		return true
-	}
-	entry.requests.Add(1)
-	defer func() { h.total.Add(time.Since(start)) }()
-
-	// Headers are staged but the status line is only committed by the
-	// first body write, so a request whose enumeration fails before
-	// producing anything can still answer with a real error status.
-	w.Header().Set("X-Cqrep-View", entry.name)
-	w.Header().Set("X-Cqrep-Free", strconv.Itoa(len(entry.rep.FreeNames())))
-	sw := w
-	var tee *CacheTee
-	if flight != nil {
-		tee = NewCacheTee(w, h.cache.MaxEntryBytes())
-		sw = tee
-	}
-	var disp streamDisposition
-	var n int
-	if format == formatBinary {
-		disp, n = h.streamBinary(sw, entry, it, req, ctx, cancel, start)
-	} else {
-		disp, n = h.streamNDJSON(sw, it, req, ctx, cancel, start)
-	}
-	switch disp {
-	case streamErrored:
-		h.streamsErrored.Add(1)
-		entry.streamsErrored.Add(1)
-	case streamAborted:
-		h.streamsAborted.Add(1)
-		entry.streamsAborted.Add(1)
-	default:
-		h.streamsComplete.Add(1)
-		entry.streamsComplete.Add(1)
-		if tee != nil {
-			if body, ok := tee.Captured(); ok {
-				h.cache.Publish(flight, body, n)
-				published = true
-			}
-		}
-	}
-	return true
-}
-
-// streamNDJSON writes the result stream in the NDJSON encoding, flushing
-// per line: the stream is the product, and constant-delay enumeration
-// means the client should see tuples as they are produced, not when a
-// buffer happens to fill.
-func (h *Handler) streamNDJSON(w http.ResponseWriter, it core.Iterator, req QueryRequest, ctx context.Context, cancel context.CancelFunc, start time.Time) (streamDisposition, int) {
-	w.Header().Set("Content-Type", NDJSONMediaType)
-	flusher, _ := w.(http.Flusher)
-	bw := bufio.NewWriterSize(w, 4096)
-
-	var line []byte
-	n := 0
-	limited := false
-	for {
-		t, ok := it.Next()
-		if !ok {
-			break
-		}
-		if n == 0 {
-			h.delay.Add(time.Since(start))
-		}
-		line = appendTupleJSON(line[:0], t)
-		if _, err := bw.Write(line); err != nil {
-			cancel() // client went away: abandon the enumeration
-			return streamAborted, n
-		}
-		bw.Flush()
-		if flusher != nil {
-			flusher.Flush()
-		}
-		h.tuples.Add(1)
-		n++
-		if req.Limit > 0 && n >= req.Limit {
-			limited = true
-			cancel() // stop the serving worker; the stream is done
-			break
-		}
-	}
-	disp := streamComplete
-	// A nil IterErr means the enumeration genuinely finished; limited means
-	// we cut it ourselves after delivering what the client asked for. Both
-	// are complete streams. Anything else — a source error, or a context
-	// cancellation (shutdown, disconnect) that cut the enumeration short —
-	// must reach the client as the terminal error object: an abort that
-	// ended with plain EOF would be indistinguishable from a complete
-	// result set (NDJSON has no end marker), which is exactly the silent
-	// truncation the IterErr contract exists to prevent.
-	if terr := core.IterErr(it); terr != nil && !limited {
-		disp = streamErrored
-		if ctx.Err() != nil {
-			disp = streamAborted
-		}
-		if n == 0 && disp == streamErrored {
-			// Nothing was streamed yet, so the status line is still ours:
-			// fail properly instead of a 200 with an error trailer.
-			h.errorJSON(w, http.StatusInternalServerError, "%v", terr)
-			return disp, n
-		}
-		if disp == streamErrored {
-			h.errors.Add(1)
-		}
-		obj, _ := json.Marshal(map[string]string{"error": terr.Error()})
-		bw.Write(obj)
-		bw.WriteByte('\n')
-	}
-	bw.Flush()
-	if flusher != nil {
-		flusher.Flush()
-	}
-	return disp, n
-}
-
-// streamBinary writes the result stream in the binary framing (wire.go):
-// the first tuple ships as its own frame — batching must not defer the
-// time-to-first-answer delay — and steady state flushes once per
-// FlushBatch tuples instead of once per tuple. Every stream that got as
-// far as its header ends with an explicit end or error frame, so clients
-// can tell truncation from completion.
-func (h *Handler) streamBinary(w http.ResponseWriter, entry *viewEntry, it core.Iterator, req QueryRequest, ctx context.Context, cancel context.CancelFunc, start time.Time) (streamDisposition, int) {
-	w.Header().Set("Content-Type", BinaryMediaType)
-	flusher, _ := w.(http.Flusher)
-	bw := bufio.NewWriterSize(w, 32*1024)
-	enc := newBinaryWriter(bw)
-	// Staged, not flushed: if the enumeration fails before the first
-	// tuple the buffered header is dropped and the status line still
-	// carries a real error.
-	enc.Header(len(entry.rep.FreeNames()))
-
-	flush := func() bool {
-		if err := enc.Flush(); err != nil {
-			return false
-		}
-		if err := bw.Flush(); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
-
-	batch := h.flushBatch()
-	limit := 1 // ramp: first flush carries one tuple
-	n := 0
-	limited := false
-	for {
-		t, ok := it.Next()
-		if !ok {
-			break
-		}
-		if n == 0 {
-			h.delay.Add(time.Since(start))
-		}
-		enc.Add(t)
-		h.tuples.Add(1)
-		n++
-		if req.Limit > 0 && n >= req.Limit {
-			limited = true
-			cancel() // stop the serving worker; the stream is done
-			break
-		}
-		if enc.Pending() >= limit {
-			if !flush() {
-				cancel() // client went away: abandon the enumeration
-				return streamAborted, n
-			}
-			limit = batch
-		}
-	}
-	// Same terminal discipline as the NDJSON path: only a genuinely
-	// finished or limit-satisfied enumeration earns the end frame. A
-	// context-cut stream ends with the error frame instead — the binary
-	// framing makes bare truncation detectable, but an end frame after an
-	// abort would actively forge completion.
-	if terr := core.IterErr(it); terr != nil && !limited {
-		disp := streamErrored
-		if ctx.Err() != nil {
-			disp = streamAborted
-		}
-		if n == 0 && disp == streamErrored {
-			// Header bytes are still only staged in bw; drop them and
-			// answer with a real error status.
-			h.errorJSON(w, http.StatusInternalServerError, "%v", terr)
-			return disp, n
-		}
-		if disp == streamErrored {
-			h.errors.Add(1)
-		}
-		enc.Flush()
-		enc.Error(terr.Error())
-		bw.Flush()
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return disp, n
-	}
-	enc.Flush()
-	enc.End()
-	bw.Flush()
-	if flusher != nil {
-		flusher.Flush()
-	}
-	return streamComplete, n
-}
-
-// appendTupleJSON renders one tuple as a compact JSON array of integers.
-func appendTupleJSON(dst []byte, t relation.Tuple) []byte {
-	dst = append(dst, '[')
-	for i, v := range t {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = strconv.AppendInt(dst, int64(v), 10)
-	}
-	return append(dst, ']', '\n')
-}
+func (s entrySource) Release() { s.entry.release() }
 
 // ViewInfo is one /v1/views registry row. EnumOrder is the declared
 // enumeration order as free-variable positions, most significant first —
@@ -933,7 +577,7 @@ type viewsResponse struct {
 func (h *Handler) handleViews(w http.ResponseWriter, r *http.Request) {
 	reg := h.reg.Load()
 	if reg == nil {
-		h.errorJSON(w, http.StatusServiceUnavailable, "server is shutting down")
+		h.front.ErrorJSON(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
 	resp := viewsResponse{Generation: reg.gen}
@@ -994,17 +638,9 @@ type ViewStats struct {
 
 // statsResponse is the /v1/stats body.
 type statsResponse struct {
-	UptimeMs        int64          `json:"uptime_ms"`
-	Generation      uint64         `json:"generation"`
-	Reloads         uint64         `json:"reloads"`
-	Requests        uint64         `json:"requests"`
-	Errors          uint64         `json:"errors"`
-	Tuples          uint64         `json:"tuples"`
-	StreamsComplete uint64         `json:"streams_complete"`
-	StreamsErrored  uint64         `json:"streams_errored"`
-	StreamsAborted  uint64         `json:"streams_aborted"`
-	FirstTuple      LatencySummary `json:"first_tuple"`
-	Total           LatencySummary `json:"total"`
+	QueryStats
+	Generation uint64 `json:"generation"`
+	Reloads    uint64 `json:"reloads"`
 	// Cache is the result-cache block; nil (omitted) when caching is off.
 	Cache *CacheStats `json:"cache,omitempty"`
 	Views []ViewStats `json:"views"`
@@ -1013,22 +649,10 @@ type statsResponse struct {
 func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 	reg := h.reg.Load()
 	if reg == nil {
-		h.errorJSON(w, http.StatusServiceUnavailable, "server is shutting down")
+		h.front.ErrorJSON(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
-	resp := statsResponse{
-		UptimeMs:        time.Since(h.start).Milliseconds(),
-		Generation:      reg.gen,
-		Reloads:         h.reloads.Load(),
-		Requests:        h.requests.Load(),
-		Errors:          h.errors.Load(),
-		Tuples:          h.tuples.Load(),
-		FirstTuple:      h.delay.Summary(),
-		Total:           h.total.Summary(),
-		StreamsComplete: h.streamsComplete.Load(),
-		StreamsErrored:  h.streamsErrored.Load(),
-		StreamsAborted:  h.streamsAborted.Load(),
-	}
+	resp := statsResponse{QueryStats: h.front.Stats(), Generation: reg.gen, Reloads: h.reloads.Load()}
 	if h.cache != nil {
 		cs := h.cache.Stats()
 		resp.Cache = &cs
@@ -1039,11 +663,11 @@ func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 		ss := e.srv.Stats()
 		row := ViewStats{
 			Name:            e.name,
-			Requests:        e.requests.Load(),
+			Requests:        e.counters.requests.Load(),
 			Tuples:          ss.Tuples,
-			StreamsComplete: e.streamsComplete.Load(),
-			StreamsErrored:  e.streamsErrored.Load(),
-			StreamsAborted:  e.streamsAborted.Load(),
+			StreamsComplete: e.counters.streams[streamComplete].Load(),
+			StreamsErrored:  e.counters.streams[streamErrored].Load(),
+			StreamsAborted:  e.counters.streams[streamAborted].Load(),
 			Entries:         st.Entries,
 			Shards:          st.Shards,
 			BaseTuples:      e.baseTup(),
@@ -1063,13 +687,6 @@ func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// handleHealth is process liveness: the handler is up and dispatching. It
-// says nothing about views — a worker with zero attached shards is healthy.
-func (h *Handler) handleHealth(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"ok": true})
-}
-
 // handleReady is serving readiness: every registered view must be loaded
 // AND decodable. For mmap-loaded snapshots that means forcing the lazy
 // decode (Ensure), so a readiness probe doubles as a warmup — payload
@@ -1079,17 +696,17 @@ func (h *Handler) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (h *Handler) handleReady(w http.ResponseWriter, r *http.Request) {
 	reg := h.reg.Load()
 	if reg == nil {
-		h.errorJSON(w, http.StatusServiceUnavailable, "server is shutting down")
+		h.front.ErrorJSON(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
 	if h.opts.ReadyGate != nil && !h.opts.ReadyGate() {
-		h.errorJSON(w, http.StatusServiceUnavailable, "not ready: gate closed")
+		h.front.ErrorJSON(w, http.StatusServiceUnavailable, "not ready: gate closed")
 		return
 	}
 	walReplayed := 0
 	for _, name := range reg.names {
 		if err := reg.views[name].rep.Ensure(); err != nil {
-			h.errorJSON(w, http.StatusServiceUnavailable, "view %q not decodable: %v", name, err)
+			h.front.ErrorJSON(w, http.StatusServiceUnavailable, "view %q not decodable: %v", name, err)
 			return
 		}
 		walReplayed += reg.views[name].wal.replayed
@@ -1120,14 +737,14 @@ func (h *Handler) handleAttach(w http.ResponseWriter, r *http.Request) {
 		err = json.Unmarshal(body, &req)
 	}
 	if err != nil || req.Name == "" || req.Source == "" {
-		h.errorJSON(w, http.StatusBadRequest, "attach wants {\"name\":..., \"source\": path-or-url}")
+		h.front.ErrorJSON(w, http.StatusBadRequest, "attach wants {\"name\":..., \"source\": path-or-url}")
 		return
 	}
 	path := req.Source
 	if isHTTPURL(req.Source) {
 		path, err = h.spoolFetch(r.Context(), req.Name, req.Source)
 		if err != nil {
-			h.errorJSON(w, http.StatusBadGateway, "fetch %s: %v", req.Source, err)
+			h.front.ErrorJSON(w, http.StatusBadGateway, "fetch %s: %v", req.Source, err)
 			return
 		}
 	}
@@ -1136,7 +753,7 @@ func (h *Handler) handleAttach(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, core.ErrClosed) {
 			status = http.StatusServiceUnavailable
 		}
-		h.errorJSON(w, status, "attach %q: %v", req.Name, err)
+		h.front.ErrorJSON(w, status, "attach %q: %v", req.Name, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -1152,7 +769,7 @@ func (h *Handler) handleDetach(w http.ResponseWriter, r *http.Request) {
 		err = json.Unmarshal(body, &req)
 	}
 	if err != nil || req.Name == "" {
-		h.errorJSON(w, http.StatusBadRequest, "detach wants {\"name\": ...}")
+		h.front.ErrorJSON(w, http.StatusBadRequest, "detach wants {\"name\": ...}")
 		return
 	}
 	if err := h.Detach(req.Name); err != nil {
@@ -1160,7 +777,7 @@ func (h *Handler) handleDetach(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, core.ErrClosed) {
 			status = http.StatusServiceUnavailable
 		}
-		h.errorJSON(w, status, "detach %q: %v", req.Name, err)
+		h.front.ErrorJSON(w, status, "detach %q: %v", req.Name, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -1227,7 +844,7 @@ func (h *Handler) handleReload(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, core.ErrClosed) {
 			status = http.StatusServiceUnavailable
 		}
-		h.errorJSON(w, status, "reload failed, previous registry still serving: %v", err)
+		h.front.ErrorJSON(w, status, "reload failed, previous registry still serving: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -529,3 +529,75 @@ func TestStreamErrorBeforeFirstTuple(t *testing.T) {
 		t.Fatalf("message = %q", re.Message)
 	}
 }
+
+// failAfterFlush is a ResponseWriter whose writes fail once it has been
+// flushed: the client went away right after the first flush.
+type failAfterFlush struct {
+	*httptest.ResponseRecorder
+	flushed bool
+}
+
+func (w *failAfterFlush) Write(p []byte) (int, error) {
+	if w.flushed {
+		return 0, errors.New("client gone")
+	}
+	return w.ResponseRecorder.Write(p)
+}
+
+func (w *failAfterFlush) Flush() {
+	w.flushed = true
+	w.ResponseRecorder.Flush()
+}
+
+// TestTerminalWriteFailureCountsAborted: a stream whose first tuple was
+// delivered but whose final flush (and so its end terminal) failed to
+// write never reached the client complete. It must count as aborted, in
+// both formats, and must not be published to the result cache.
+func TestTerminalWriteFailureCountsAborted(t *testing.T) {
+	view, db := triangleFixture(t, 13)
+	path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db)
+	h, err := New([]string{path}, Options{Workers: 1, CacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+
+	// A binding with a few answers: the first flushes alone, the rest wait
+	// in the writer's buffer for the final flush.
+	var body string
+	for _, vb := range sampleBindings(rep, 50, 5) {
+		if n := len(core.Drain(rep.Query(vb))); n >= 2 && n < defaultFlushBatch {
+			b, _ := json.Marshal(map[string]any{"bindings": bindByName(rep, vb)})
+			body = string(b)
+			break
+		}
+	}
+	if body == "" {
+		t.Fatal("no binding with 2..127 answers in the sample")
+	}
+	for _, format := range []Format{FormatNDJSON, FormatBinary} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/query/V", strings.NewReader(body))
+		req.Header.Set("Accept", format.MediaType())
+		w := &failAfterFlush{ResponseRecorder: httptest.NewRecorder()}
+		h.ServeHTTP(w, req)
+		if !w.flushed {
+			t.Fatalf("%s: the stream never flushed", format)
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var stats statsResponse
+	if err := json.NewDecoder(rec.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.StreamsAborted != 2 || stats.StreamsComplete != 0 {
+		t.Fatalf("streams complete/aborted = %d/%d, want 0/2", stats.StreamsComplete, stats.StreamsAborted)
+	}
+	if row := stats.Views[0]; row.StreamsAborted != 2 || row.StreamsComplete != 0 {
+		t.Fatalf("view row complete/aborted = %d/%d, want 0/2", row.StreamsComplete, row.StreamsAborted)
+	}
+	if cs, _ := h.CacheStats(); cs.Entries != 0 {
+		t.Fatalf("cache holds %d entries, want 0: an aborted stream was published", cs.Entries)
+	}
+}

@@ -4,72 +4,58 @@ import (
 	"bufio"
 	"encoding/json"
 	"net/http"
+	"strconv"
 
 	"cqrep/internal/relation"
 )
 
-// streamwriter.go exports the server-side stream encoding for processes
-// that are not a Handler — concretely the coordinator (internal/coord),
-// which consumes worker streams in the binary framing and re-encodes the
-// merged result in whatever format the client negotiated. It reuses the
-// exact encoders the Handler's own query path uses, so a stream relayed
-// through the coordinator is byte-identical to one served directly.
-
-// NegotiateFormat picks the result encoding from an Accept header: the
-// binary framing iff any element names its media type, NDJSON otherwise
-// (including */* and an absent header). There is no 406 — the formats
-// carry identical information.
-func NegotiateFormat(accept string) Format {
-	if negotiateFormat(accept) == formatBinary {
-		return FormatBinary
-	}
-	return FormatNDJSON
-}
-
-// StreamWriter writes one result stream to an http.ResponseWriter in a
-// negotiated Format, with the Handler's delivery discipline: the first
-// tuple flushes alone (batching never defers first-answer delay), steady
-// state flushes per batch for binary and per line for NDJSON, and every
-// stream ends with an explicit terminal — End, Error, or (NDJSON) clean
-// EOF. Nothing is committed to the wire before the first Tuple/End/Error
-// call, so a caller whose upstream fails before producing anything can
-// still answer with a real error status instead.
+// StreamWriter is the only result-stream encoder: it writes one result
+// stream to an http.ResponseWriter in a negotiated Format. Both serving
+// fronts stream through it (query.go), and perfbench drives it directly,
+// so a stream relayed through the coordinator is byte-identical to one a
+// node serves.
+//
+// Its delivery discipline is the same for both formats: the first tuple
+// flushes alone (batching never defers first-answer delay), steady state
+// flushes once per flushBatch tuples, and every stream ends with an
+// explicit terminal — End, Error, or (NDJSON) clean EOF. Nothing is
+// committed to the wire before the first flush, so a caller whose source
+// fails before producing anything can still answer with a real error
+// status instead.
 type StreamWriter struct {
 	w       http.ResponseWriter
 	flusher http.Flusher
 	bw      *bufio.Writer
-	format  Format
 	enc     *binaryWriter // binary only
 	line    []byte        // ndjson scratch
 	batch   int
-	limit   int // current flush threshold (1-then-batch ramp)
+	next    int // Wrote() at which the next flush happens (1-then-batch ramp)
 	wrote   int
-	started bool
 }
 
-// NewStreamWriter stages a stream of the given format and arity. Headers
-// (Content-Type, the binary magic+arity) are buffered, not sent: the
-// status line commits on the first flush.
+// NewStreamWriter stages a stream of the given format and arity;
+// flushBatch <= 0 means defaultFlushBatch. Headers (Content-Type, the
+// binary magic+arity) are buffered, not sent: the status line commits on
+// the first flush.
 func NewStreamWriter(w http.ResponseWriter, format Format, arity, flushBatch int) *StreamWriter {
 	if flushBatch <= 0 {
 		flushBatch = defaultFlushBatch
 	}
 	flusher, _ := w.(http.Flusher)
-	sw := &StreamWriter{w: w, flusher: flusher, format: format, batch: flushBatch, limit: 1}
+	sw := &StreamWriter{w: w, flusher: flusher, batch: flushBatch, next: 1}
+	w.Header().Set("Content-Type", format.MediaType())
 	if format == FormatBinary {
-		sw.w.Header().Set("Content-Type", BinaryMediaType)
 		sw.bw = bufio.NewWriterSize(w, 32*1024)
 		sw.enc = newBinaryWriter(sw.bw)
 		sw.enc.Header(arity)
 	} else {
-		sw.w.Header().Set("Content-Type", NDJSONMediaType)
 		sw.bw = bufio.NewWriterSize(w, 4096)
 	}
 	return sw
 }
 
 // Wrote reports how many tuples have been staged or sent. A caller seeing
-// an upstream failure at Wrote()==0 still owns the status line and should
+// a source failure at Wrote()==0 still owns the status line and should
 // answer with a real HTTP error instead of Error.
 func (sw *StreamWriter) Wrote() int { return sw.wrote }
 
@@ -85,33 +71,31 @@ func (sw *StreamWriter) flush() error {
 	if sw.flusher != nil {
 		sw.flusher.Flush()
 	}
-	sw.started = true
 	return nil
 }
 
-// Tuple stages one tuple; a non-nil error means the client is gone and the
-// stream should be abandoned.
+// Tuple stages one tuple and flushes on the ramp; a non-nil error means
+// the client is gone and the stream should be abandoned.
 func (sw *StreamWriter) Tuple(t relation.Tuple) error {
 	sw.wrote++
-	if sw.format == FormatBinary {
+	if sw.enc != nil {
 		sw.enc.Add(t)
-		if sw.enc.Pending() >= sw.limit {
-			if err := sw.flush(); err != nil {
-				return err
-			}
-			sw.limit = sw.batch
+	} else {
+		sw.line = appendTupleJSON(sw.line[:0], t)
+		if _, err := sw.bw.Write(sw.line); err != nil {
+			return err
 		}
+	}
+	if sw.wrote < sw.next {
 		return nil
 	}
-	sw.line = appendTupleJSON(sw.line[:0], t)
-	if _, err := sw.bw.Write(sw.line); err != nil {
-		return err
-	}
+	sw.next = sw.wrote + sw.batch
 	return sw.flush()
 }
 
 // End terminates a complete stream: pending tuples, then the binary end
-// frame (NDJSON completeness is the clean EOF).
+// frame (NDJSON completeness is the clean EOF). An error means the client
+// did not receive the terminal.
 func (sw *StreamWriter) End() error {
 	if sw.enc != nil {
 		if err := sw.enc.Flush(); err != nil {
@@ -140,4 +124,16 @@ func (sw *StreamWriter) Error(msg string) error {
 	sw.bw.Write(obj)
 	sw.bw.WriteByte('\n')
 	return sw.flush()
+}
+
+// appendTupleJSON renders one tuple as a compact JSON array of integers.
+func appendTupleJSON(dst []byte, t relation.Tuple) []byte {
+	dst = append(dst, '[')
+	for i, v := range t {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(v), 10)
+	}
+	return append(dst, ']', '\n')
 }

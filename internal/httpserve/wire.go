@@ -60,15 +60,7 @@ const (
 	maxWireArity  = 1 << 16
 )
 
-// wireFormat is the negotiated result encoding of one query request.
-type wireFormat int
-
-const (
-	formatNDJSON wireFormat = iota
-	formatBinary
-)
-
-// negotiateFormat picks the result encoding from an Accept header as a
+// NegotiateFormat picks the result encoding from an Accept header as a
 // comma-separated list of media ranges with optional q-values (RFC 9110
 // §12.5.1, restricted to what matters here). The binary framing is chosen
 // iff some element names its exact media type with q > 0 AND that q is at
@@ -78,7 +70,7 @@ const (
 // explicit types, binary wins: a client that spells out the binary media
 // type is one that can decode it. There is no 406 — the stream formats
 // carry identical information and NDJSON is the universal fallback.
-func negotiateFormat(accept string) wireFormat {
+func NegotiateFormat(accept string) Format {
 	var qBinary, qNDJSON float64
 	for _, part := range strings.Split(accept, ",") {
 		mt, params, _ := strings.Cut(part, ";")
@@ -97,9 +89,9 @@ func negotiateFormat(accept string) wireFormat {
 		}
 	}
 	if qBinary > 0 && qBinary >= qNDJSON {
-		return formatBinary
+		return FormatBinary
 	}
-	return formatNDJSON
+	return FormatNDJSON
 }
 
 // acceptQ extracts the q-value from one media range's parameter list

@@ -19,43 +19,43 @@ import (
 func TestNegotiateFormat(t *testing.T) {
 	cases := []struct {
 		accept string
-		want   wireFormat
+		want   Format
 	}{
-		{"", formatNDJSON},
-		{"*/*", formatNDJSON},
-		{"application/x-ndjson", formatNDJSON},
-		{"application/json, text/plain", formatNDJSON},
-		{BinaryMediaType, formatBinary},
-		{"APPLICATION/X-CQREP-BINARY", formatBinary},
-		{"application/x-ndjson, " + BinaryMediaType, formatBinary},
-		{" " + BinaryMediaType + " ; q=0.9", formatBinary},
-		{BinaryMediaType + "x", formatNDJSON},
-		{"application/x-cqrep", formatNDJSON},
+		{"", FormatNDJSON},
+		{"*/*", FormatNDJSON},
+		{"application/x-ndjson", FormatNDJSON},
+		{"application/json, text/plain", FormatNDJSON},
+		{BinaryMediaType, FormatBinary},
+		{"APPLICATION/X-CQREP-BINARY", FormatBinary},
+		{"application/x-ndjson, " + BinaryMediaType, FormatBinary},
+		{" " + BinaryMediaType + " ; q=0.9", FormatBinary},
+		{BinaryMediaType + "x", FormatNDJSON},
+		{"application/x-cqrep", FormatNDJSON},
 
 		// q-values: the highest-weighted acceptable type wins, binary on
 		// an exact tie (it is the cheaper encoding for both sides).
-		{BinaryMediaType + ";q=0.9, application/x-ndjson", formatNDJSON},
-		{BinaryMediaType + ", */*", formatBinary},
-		{BinaryMediaType + ";q=1, application/x-ndjson;q=1", formatBinary},
-		{BinaryMediaType + ";q=0", formatNDJSON},
-		{BinaryMediaType + ";q=0, application/x-ndjson;q=0", formatNDJSON},
-		{"application/x-ndjson;q=0.5, " + BinaryMediaType + ";q=0.4", formatNDJSON},
-		{"application/x-ndjson;q=0.3, " + BinaryMediaType + ";q=0.5", formatBinary},
-		{BinaryMediaType + ";Q=0.1, application/x-ndjson", formatNDJSON},
-		{BinaryMediaType + "; q=0.2 , application/*", formatNDJSON},
+		{BinaryMediaType + ";q=0.9, application/x-ndjson", FormatNDJSON},
+		{BinaryMediaType + ", */*", FormatBinary},
+		{BinaryMediaType + ";q=1, application/x-ndjson;q=1", FormatBinary},
+		{BinaryMediaType + ";q=0", FormatNDJSON},
+		{BinaryMediaType + ";q=0, application/x-ndjson;q=0", FormatNDJSON},
+		{"application/x-ndjson;q=0.5, " + BinaryMediaType + ";q=0.4", FormatNDJSON},
+		{"application/x-ndjson;q=0.3, " + BinaryMediaType + ";q=0.5", FormatBinary},
+		{BinaryMediaType + ";Q=0.1, application/x-ndjson", FormatNDJSON},
+		{BinaryMediaType + "; q=0.2 , application/*", FormatNDJSON},
 		// A wildcard never selects binary: clients must name it.
-		{"*/*;q=1", formatNDJSON},
-		{"application/*;q=0.9, " + BinaryMediaType + ";q=0.8", formatNDJSON},
+		{"*/*;q=1", FormatNDJSON},
+		{"application/*;q=0.9, " + BinaryMediaType + ";q=0.8", FormatNDJSON},
 		// Unparseable or out-of-range q degrades to 1 / clamps, never panics.
-		{BinaryMediaType + ";q=banana, application/x-ndjson;q=0.9", formatBinary},
-		{BinaryMediaType + ";q=7, */*;q=0.5", formatBinary},
-		{BinaryMediaType + ";charset=utf-8;q=0.9, application/x-ndjson", formatNDJSON},
+		{BinaryMediaType + ";q=banana, application/x-ndjson;q=0.9", FormatBinary},
+		{BinaryMediaType + ";q=7, */*;q=0.5", FormatBinary},
+		{BinaryMediaType + ";charset=utf-8;q=0.9, application/x-ndjson", FormatNDJSON},
 		// Repeated mentions take the max weight per type.
-		{BinaryMediaType + ";q=0.1, " + BinaryMediaType + ", application/x-ndjson;q=0.9", formatBinary},
+		{BinaryMediaType + ";q=0.1, " + BinaryMediaType + ", application/x-ndjson;q=0.9", FormatBinary},
 	}
 	for _, c := range cases {
-		if got := negotiateFormat(c.accept); got != c.want {
-			t.Errorf("negotiateFormat(%q) = %v, want %v", c.accept, got, c.want)
+		if got := NegotiateFormat(c.accept); got != c.want {
+			t.Errorf("NegotiateFormat(%q) = %v, want %v", c.accept, got, c.want)
 		}
 	}
 }
