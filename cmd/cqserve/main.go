@@ -42,9 +42,10 @@
 // GET /readyz at 503 until membership is confirmed. GET /healthz reports
 // liveness; /readyz additionally forces every registered view decodable.
 //
-// SIGINT/SIGTERM shuts down gracefully: the listener stops, in-flight
-// streams are cancelled through their request contexts, and the serving
-// pools drain before the process exits.
+// Each query enumerates its view's representation on the request's own
+// goroutine. SIGINT/SIGTERM shuts down gracefully: the listener stops,
+// in-flight streams are cancelled through their request contexts, and
+// every view drains before the process exits.
 package main
 
 import (
@@ -72,8 +73,6 @@ import (
 type config struct {
 	addr       string
 	snapshots  []string
-	workers    int
-	buffer     int
 	flushBatch int
 	cacheBytes int64
 	mmap       bool
@@ -99,8 +98,6 @@ func parseFlags(args []string) (config, error) {
 	fs.Var(&snaps, "snapshot", "snapshot file to serve (repeatable; positional args work too)")
 	cfg := config{}
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
-	fs.IntVar(&cfg.workers, "workers", 0, "serving workers per view (0 = GOMAXPROCS)")
-	fs.IntVar(&cfg.buffer, "buffer", 0, "per-request result buffer in tuples (0 = default 256)")
 	fs.IntVar(&cfg.flushBatch, "flush-batch", 0, "tuples batched per stream flush in both formats, after a first tuple flushed alone (0 = default 128)")
 	fs.Int64Var(&cfg.cacheBytes, "cache-bytes", 0, "hot-binding result cache budget in bytes (0 = caching off); entries are invalidated by registry generation on reload/attach/detach")
 	fs.BoolVar(&cfg.mmap, "mmap", false, "mmap snapshots instead of eager decode (lazy per-shard decode on first touch)")
@@ -143,7 +140,6 @@ func main() {
 func run(ctx context.Context, cfg config, logw *os.File) error {
 	var joined atomic.Bool
 	opts := httpserve.Options{
-		Workers: cfg.workers, Buffer: cfg.buffer,
 		FlushBatch: cfg.flushBatch, Mmap: cfg.mmap,
 		Admin: cfg.worker, SpoolDir: cfg.spool,
 		CacheBytes: cfg.cacheBytes, WALDir: cfg.walDir,
@@ -177,8 +173,8 @@ func run(ctx context.Context, cfg config, logw *os.File) error {
 	}
 	srv := &http.Server{
 		Handler: handler,
-		// Request contexts derive from ctx, so cancelling it propagates
-		// into every in-flight enumeration via Server.SubmitContext.
+		// Request contexts derive from ctx, so cancelling it stops every
+		// in-flight stream at its next tuple.
 		BaseContext: func(net.Listener) context.Context { return ctx },
 	}
 	// An explicit listener (rather than ListenAndServe) pins the bound

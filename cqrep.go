@@ -118,5 +118,7 @@ func Drain(it Iterator) []Tuple { return core.Drain(it) }
 // enumeration completed, ErrClosed means the server closed mid-stream, the
 // submitting context's error means it was cancelled, and anything else is
 // the underlying source's mid-enumeration failure. Iterators obtained
-// directly from a Representation never fail and report nil.
+// directly from a Representation report nil, with one exception: when a
+// LoadMmap snapshot's payload fails to decode on first touch, Query
+// returns an empty iterator whose IterErr wraps ErrBadSnapshot.
 func IterErr(it Iterator) error { return core.IterErr(it) }

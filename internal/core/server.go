@@ -146,6 +146,9 @@ type errReporter interface{ Err() error }
 // the enumeration completed; ErrClosed means the server was closed
 // mid-stream; the submitting context's error means it was cancelled; any
 // other error was surfaced by the underlying source mid-enumeration.
+// Iterators from Representation.Query report nil, except for an
+// mmap-loaded representation whose payload fails to decode: its Query
+// returns an empty iterator whose IterErr wraps ErrBadSnapshot.
 func IterErr(it Iterator) error {
 	if r, ok := it.(errReporter); ok {
 		return r.Err()

@@ -75,7 +75,7 @@ func TestReloadChurn(t *testing.T) {
 	if err := writeChurnSnapshot(path, 1000); err != nil {
 		t.Fatal(err)
 	}
-	h, err := New([]string{path}, Options{Workers: 4, Buffer: 4})
+	h, err := New([]string{path}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestReloadChurnCached(t *testing.T) {
 	if err := writeChurnSnapshot(path, 1000); err != nil {
 		t.Fatal(err)
 	}
-	h, err := New([]string{path}, Options{Workers: 4, Buffer: 4, CacheBytes: 1 << 20})
+	h, err := New([]string{path}, Options{CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestShutdownChurn(t *testing.T) {
 	if err := writeChurnSnapshot(path, 1000); err != nil {
 		t.Fatal(err)
 	}
-	h, err := New([]string{path}, Options{Workers: 2, Buffer: 1})
+	h, err := New([]string{path}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,9 +250,8 @@ func TestShutdownChurn(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				res, err := cl.Query(context.Background(), "V", map[string]relation.Value{"x": 1}, 0)
 				if err != nil {
-					// Shutdown surfaces as a 503, a terminal stream error
-					// (the pool closed mid-stream), or a transport error —
-					// all clean refusals.
+					// Shutdown surfaces as a 503 or a transport error —
+					// both clean refusals; a started stream finishes.
 					refused.Add(1)
 					continue
 				}

@@ -11,11 +11,12 @@
 //	GET  /v1/stats         tuple/shard counts, request/latency counters
 //	POST /v1/reload        re-read the snapshot files and atomically swap
 //
-// Reload is hot: the per-view registry is swapped atomically, requests
-// in flight keep streaming from the representation they started on, and
-// the old serving pools close only after their last stream finishes.
-// Shutdown propagates context cancellation into every in-flight
-// enumeration through Server.SubmitContext.
+// Each query enumerates the view's representation directly on the
+// request's own handler goroutine. Reload is hot: the per-view registry is
+// swapped atomically, requests in flight keep streaming from the
+// representation they started on, and a retired entry is let go only
+// after its last stream finishes. Shutdown cancels every request context,
+// and the stream loop stops at its next tuple.
 package httpserve
 
 import (
@@ -39,18 +40,12 @@ import (
 
 // Options configures a Handler.
 type Options struct {
-	// Workers bounds each view's serving pool; <= 0 means GOMAXPROCS.
-	Workers int
-	// Buffer is the per-request result channel capacity; <= 0 means the
-	// core default (256). Together with the FlushBatch ramp it bounds the
-	// tuples buffered for a slow client.
-	Buffer int
 	// MaxBodyBytes caps a query request body; <= 0 means 1 MiB.
 	MaxBodyBytes int64
 	// FlushBatch is the steady-state tuples-per-flush of result streams in
-	// both formats and of the core serving pools (core.WithFlushBatch);
-	// <= 0 means defaultFlushBatch. The first tuple of every stream is
-	// always flushed alone, so batching never defers first-answer delay.
+	// both formats; <= 0 means defaultFlushBatch. The first tuple of every
+	// stream is always flushed alone, so batching never defers
+	// first-answer delay.
 	FlushBatch int
 	// Mmap loads snapshots through the mmap path (cqrep.LoadMmap):
 	// startup is O(file-open) per snapshot and each view — each shard,
@@ -97,11 +92,6 @@ type SnapshotSpec struct {
 	Path string
 }
 
-// defaultFlushBatch is the steady-state tuples-per-flush when
-// Options.FlushBatch is unset: large enough to amortize channel and flush
-// syscall overhead, small enough that a mid-stream gap stays tiny.
-const defaultFlushBatch = 128
-
 // Handler serves a registry of snapshot-loaded representations over HTTP.
 // It implements http.Handler; create one with New and Close it when done.
 type Handler struct {
@@ -125,7 +115,7 @@ type Handler struct {
 	reloads   atomic.Uint64
 	closed    atomic.Bool
 	closeOnce sync.Once
-	closeDone chan struct{}  // closed once every pool has drained
+	closeDone chan struct{}  // closed once every entry has drained
 	retired   sync.WaitGroup // background retire goroutines
 }
 
@@ -137,14 +127,16 @@ type registry struct {
 	names []string // sorted view names, for /v1/views determinism
 }
 
-// viewEntry is one served view: its representation, serving pool, and the
-// in-flight reference gate that keeps the pool alive until the last
-// stream started on it finishes.
+// viewEntry is one served view: its representation and the in-flight
+// reference gate that keeps a retired entry alive until the last stream
+// started on it finishes.
 type viewEntry struct {
-	name     string
-	path     string
-	rep      *core.Representation
-	srv      *core.Server
+	name string
+	path string
+	rep  *core.Representation
+	// src answers the entry's queries; it is rep itself, held as the
+	// interface so tests can put a failing source in its place.
+	src      core.QuerySource
 	loadedAt time.Time
 
 	mu      sync.Mutex
@@ -182,9 +174,9 @@ func (e *viewEntry) release() {
 	}
 }
 
-// retire marks the entry dead, waits for in-flight streams to finish, and
-// closes its serving pool. Requests in flight keep streaming from the old
-// representation; new requests fail acquire and route to the replacement.
+// retire marks the entry dead and waits for in-flight streams to finish.
+// Requests in flight keep streaming from the old representation; new
+// requests fail acquire and route to the replacement.
 func (e *viewEntry) retire() {
 	e.mu.Lock()
 	e.retired = true
@@ -194,7 +186,6 @@ func (e *viewEntry) retire() {
 		close(e.idle)
 	}
 	<-e.idle
-	e.srv.Close()
 }
 
 // New loads every snapshot path into a per-view registry and returns the
@@ -246,14 +237,6 @@ func NewSpecs(specs []SnapshotSpec, opts Options) (*Handler, error) {
 // loadRegistry reads every snapshot spec into a fresh registry generation.
 func (h *Handler) loadRegistry(gen uint64) (*registry, error) {
 	reg := &registry{gen: gen, views: make(map[string]*viewEntry, len(h.specs))}
-	ok := false
-	defer func() {
-		if !ok { // abandon the half-built generation's serving pools
-			for _, e := range reg.views {
-				e.srv.Close()
-			}
-		}
-	}()
 	for i, spec := range h.specs {
 		entry, err := h.loadEntry(spec)
 		if err != nil {
@@ -269,7 +252,6 @@ func (h *Handler) loadRegistry(gen uint64) (*registry, error) {
 		reg.names = append(reg.names, entry.name)
 	}
 	sort.Strings(reg.names)
-	ok = true
 	return reg, nil
 }
 
@@ -292,19 +274,11 @@ func (h *Handler) loadEntry(spec SnapshotSpec) (*viewEntry, error) {
 			return nil, fmt.Errorf("httpserve: %s: %w", spec.Path, err)
 		}
 	}
-	srvOpts := []core.ServerOption{core.WithFlushBatch(h.flushBatch())}
-	if h.opts.Buffer > 0 {
-		srvOpts = append(srvOpts, core.WithServerBuffer(h.opts.Buffer))
-	}
-	srv, err := core.NewServer(rep, h.opts.Workers, srvOpts...)
-	if err != nil {
-		return nil, fmt.Errorf("httpserve: %s: %w", spec.Path, err)
-	}
 	return &viewEntry{
 		name:     name,
 		path:     spec.Path,
 		rep:      rep,
-		srv:      srv,
+		src:      rep,
 		loadedAt: time.Now(),
 		idle:     make(chan struct{}),
 		// Deferred: counting base tuples materializes the
@@ -370,8 +344,7 @@ func (h *Handler) Attach(name, path string) error {
 }
 
 // Detach removes the named entry from the registry (and from the reload
-// spec list). In-flight streams on it finish; its serving pool closes once
-// the last one does.
+// spec list). In-flight streams on it finish on the detached entry.
 func (h *Handler) Detach(name string) error {
 	h.reloadMu.Lock()
 	defer h.reloadMu.Unlock()
@@ -441,18 +414,10 @@ func (h *Handler) CacheStats() (CacheStats, bool) {
 	return h.cache.Stats(), true
 }
 
-// flushBatch resolves the steady-state tuples-per-flush option.
-func (h *Handler) flushBatch() int {
-	if h.opts.FlushBatch > 0 {
-		return h.opts.FlushBatch
-	}
-	return defaultFlushBatch
-}
-
 // Reload re-reads every snapshot path and atomically swaps the registry.
 // On any load failure the old registry stays in place untouched. Requests
 // in flight finish on the representation they started with; the old
-// serving pools close in the background once their last stream ends.
+// entries retire in the background once their last stream ends.
 func (h *Handler) Reload() (uint64, error) {
 	h.reloadMu.Lock()
 	defer h.reloadMu.Unlock()
@@ -479,11 +444,10 @@ func (h *Handler) Reload() (uint64, error) {
 	return reg.gen, nil
 }
 
-// Close retires the handler: new requests fail with 503, in-flight
-// streams finish (or are cut by their own request contexts), and every
-// serving pool is closed. Close blocks until all pools have drained and
-// is idempotent — concurrent and repeated calls all wait for the full
-// drain, not just the first one.
+// Close retires the handler: new requests fail with 503 and in-flight
+// streams finish (or are cut by their own request contexts). Close blocks
+// until every entry has drained and is idempotent — concurrent and
+// repeated calls all wait for the full drain, not just the first one.
 func (h *Handler) Close() {
 	h.closeOnce.Do(func() {
 		defer close(h.closeDone)
@@ -538,15 +502,16 @@ func (h *Handler) resolve(name string, req QueryRequest) (Query, error) {
 	}, nil
 }
 
-// entrySource streams one bound valuation from a registry entry's serving
-// pool, holding the entry's reference until Release.
+// entrySource enumerates one bound valuation straight from a registry
+// entry's representation, holding the entry's reference until Release.
+// The stream loop checks the request context between tuples.
 type entrySource struct {
 	entry *viewEntry
 	vb    relation.Tuple
 }
 
-func (s entrySource) Open(ctx context.Context) (core.Iterator, error) {
-	return s.entry.srv.SubmitContext(ctx, s.vb)
+func (s entrySource) Open(context.Context) (core.Iterator, error) {
+	return s.entry.src.Query(s.vb), nil
 }
 
 func (s entrySource) Release() { s.entry.release() }
@@ -624,7 +589,6 @@ type ViewStats struct {
 	Entries         int    `json:"entries"`
 	Shards          int    `json:"shards"`
 	BaseTuples      int    `json:"base_tuples"`
-	Workers         int    `json:"workers"`
 	// Cache is this view's slice of the result-cache counters; nil (and
 	// omitted from the JSON) when caching is off.
 	Cache *ViewCacheStats `json:"cache,omitempty"`
@@ -660,18 +624,16 @@ func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 	for _, name := range reg.names {
 		e := reg.views[name]
 		st := e.rep.Stats()
-		ss := e.srv.Stats()
 		row := ViewStats{
 			Name:            e.name,
 			Requests:        e.counters.requests.Load(),
-			Tuples:          ss.Tuples,
+			Tuples:          e.counters.tuples.Load(),
 			StreamsComplete: e.counters.streams[streamComplete].Load(),
 			StreamsErrored:  e.counters.streams[streamErrored].Load(),
 			StreamsAborted:  e.counters.streams[streamAborted].Load(),
 			Entries:         st.Entries,
 			Shards:          st.Shards,
 			BaseTuples:      e.baseTup(),
-			Workers:         ss.Workers,
 		}
 		if h.cache != nil {
 			vc := h.cache.ViewStats(e.name)

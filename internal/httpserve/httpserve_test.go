@@ -113,7 +113,7 @@ func TestQueryStreamsByteIdentical(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db, c.opts...)
-			h, err := New([]string{path}, Options{Workers: 2})
+			h, err := New([]string{path}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +139,7 @@ func TestQueryStreamsByteIdentical(t *testing.T) {
 func TestQueryLimit(t *testing.T) {
 	view, db := triangleFixture(t, 11)
 	path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db)
-	h, err := New([]string{path}, Options{Workers: 1, Buffer: 2})
+	h, err := New([]string{path}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestViewsAndStats(t *testing.T) {
 	view, db := triangleFixture(t, 13)
 	p1, rep := compileAndSave(t, dir, "v.cqs", view, db, core.WithShards(2))
 	p2, _ := compileAndSave(t, dir, "w.cqs", cq.MustParse("W[bf](a, b) :- R(a, b)"), db)
-	h, err := New([]string{p1, p2}, Options{Workers: 2})
+	h, err := New([]string{p1, p2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +201,13 @@ func TestViewsAndStats(t *testing.T) {
 	// first-tuple latency histogram records something — then read the
 	// counters.
 	answered := false
+	received := 0
 	for _, vb := range sampleBindings(rep, 8, 5) {
-		if _, err := cl.Query(context.Background(), "V", bindByName(rep, vb), 0); err != nil {
+		res, err := cl.Query(context.Background(), "V", bindByName(rep, vb), 0)
+		if err != nil {
 			t.Fatal(err)
 		}
+		received += len(res.Tuples)
 		if len(core.Drain(rep.Query(vb))) > 0 {
 			answered = true
 		}
@@ -230,6 +233,9 @@ func TestViewsAndStats(t *testing.T) {
 	if st.Views[0].Requests < 3 {
 		t.Fatalf("per-view requests = %d, want >= 3", st.Views[0].Requests)
 	}
+	if st.Views[0].Tuples != uint64(received) {
+		t.Fatalf("per-view tuples = %d, want the %d the client received", st.Views[0].Tuples, received)
+	}
 	if st.FirstTuple.Count == 0 || st.FirstTuple.P99us < st.FirstTuple.P50us {
 		t.Fatalf("first-tuple latency summary = %+v", st.FirstTuple)
 	}
@@ -245,7 +251,7 @@ func jsonDecode(resp *http.Response, v any) error {
 func TestBadRequests(t *testing.T) {
 	view, db := triangleFixture(t, 17)
 	path, _ := compileAndSave(t, t.TempDir(), "v.cqs", view, db)
-	h, err := New([]string{path}, Options{Workers: 1})
+	h, err := New([]string{path}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +304,7 @@ func TestReloadSwapsRegistry(t *testing.T) {
 		return db
 	}
 	path, _ := compileAndSave(t, dir, "v.cqs", view, mkdb(100))
-	h, err := New([]string{path}, Options{Workers: 1})
+	h, err := New([]string{path}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,10 +374,6 @@ func (s *failingSource) Query(vb relation.Tuple) core.Iterator {
 	return &breakingIter{inner: s.rep.Query(vb), err: s.err, after: s.after}
 }
 
-func (s *failingSource) Bind(args map[string]relation.Value) (relation.Tuple, error) {
-	return s.rep.Bind(args)
-}
-
 type breakingIter struct {
 	inner core.Iterator
 	n     int
@@ -408,22 +410,17 @@ func (it *breakingIter) Err() error {
 func TestStreamTerminalErrorObject(t *testing.T) {
 	view, db := triangleFixture(t, 23)
 	path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db)
-	h, err := New([]string{path}, Options{Workers: 1})
+	h, err := New([]string{path}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
 
-	// Swap the healthy serving pool for one over a breaking source.
+	// Swap the healthy source for a breaking one.
 	boom := errors.New("page read failed")
 	reg := h.reg.Load()
 	entry := reg.views["V"]
-	entry.srv.Close()
-	srv, err := core.NewServer(&failingSource{rep: rep, err: boom, after: 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entry.srv = srv
+	entry.src = &failingSource{rep: rep, err: boom, after: 2}
 
 	ts := httptest.NewServer(h)
 	defer ts.Close()
@@ -468,7 +465,7 @@ func TestNewRejectsBadInputs(t *testing.T) {
 func TestCloseRejectsNewRequests(t *testing.T) {
 	view, db := triangleFixture(t, 43)
 	path, _ := compileAndSave(t, t.TempDir(), "v.cqs", view, db)
-	h, err := New([]string{path}, Options{Workers: 1})
+	h, err := New([]string{path}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +494,7 @@ func TestCloseRejectsNewRequests(t *testing.T) {
 func TestStreamErrorBeforeFirstTuple(t *testing.T) {
 	view, db := triangleFixture(t, 29)
 	path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db)
-	h, err := New([]string{path}, Options{Workers: 1})
+	h, err := New([]string{path}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,12 +502,7 @@ func TestStreamErrorBeforeFirstTuple(t *testing.T) {
 
 	boom := errors.New("page read failed")
 	entry := h.reg.Load().views["V"]
-	entry.srv.Close()
-	srv, err := core.NewServer(&failingSource{rep: rep, err: boom, after: 0}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entry.srv = srv
+	entry.src = &failingSource{rep: rep, err: boom, after: 0}
 
 	ts := httptest.NewServer(h)
 	defer ts.Close()
@@ -556,7 +548,7 @@ func (w *failAfterFlush) Flush() {
 func TestTerminalWriteFailureCountsAborted(t *testing.T) {
 	view, db := triangleFixture(t, 13)
 	path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db)
-	h, err := New([]string{path}, Options{Workers: 1, CacheBytes: 1 << 20})
+	h, err := New([]string{path}, Options{CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,9 +92,11 @@ const (
 )
 
 // viewCounters are a node's per-view /v1/stats counters: streams started
-// or replayed, split by disposition.
+// or replayed, split by disposition, and the tuples streamed live (cache
+// replays are not counted: the view did not enumerate them).
 type viewCounters struct {
 	requests atomic.Uint64
+	tuples   atomic.Uint64
 	streams  [3]atomic.Uint64 // by streamDisposition
 }
 
@@ -264,6 +266,9 @@ func (f *Front) serve(w http.ResponseWriter, r *http.Request, q *Query, limit in
 	}
 	sw := NewStreamWriter(w, format, q.Arity, f.flushBatch)
 	disp := f.stream(w, sw, it, limit, ctx, cancel, start)
+	if q.counters != nil {
+		q.counters.tuples.Add(uint64(sw.Wrote()))
+	}
 	f.finish(q, disp, sw.Wrote(), start)
 	if tee != nil && disp == streamComplete {
 		if body, ok := tee.Captured(); ok {
@@ -276,12 +281,21 @@ func (f *Front) serve(w http.ResponseWriter, r *http.Request, q *Query, limit in
 
 // stream is the stream loop: tuples from it through sw until the source
 // ends or the limit is met, then the terminal. Only a source that finished
-// cleanly, or a limit-satisfied one, earns the clean end.
+// cleanly, or a limit-satisfied one, earns the clean end. The request
+// context is checked before every Next, so shutdown or a disconnect stops
+// a source that does not watch ctx itself (a node's representation) within
+// one tuple.
 func (f *Front) stream(w http.ResponseWriter, sw *StreamWriter, it core.Iterator, limit int, ctx context.Context, cancel context.CancelFunc, start time.Time) streamDisposition {
+	done := ctx.Done()
 	for {
 		if limit > 0 && sw.Wrote() == limit {
 			cancel() // the client is served: stop the source
 			break
+		}
+		select {
+		case <-done:
+			return f.streamError(w, sw, ctx.Err(), true)
+		default:
 		}
 		t, ok := it.Next()
 		if !ok {

@@ -9,6 +9,11 @@ import (
 	"cqrep/internal/relation"
 )
 
+// defaultFlushBatch is the steady-state tuples-per-flush when a front
+// sets none: large enough to amortize the flush syscall, small enough that
+// a mid-stream gap stays tiny.
+const defaultFlushBatch = 128
+
 // StreamWriter is the only result-stream encoder: it writes one result
 // stream to an http.ResponseWriter in a negotiated Format. Both serving
 // fronts stream through it (query.go), and perfbench drives it directly,

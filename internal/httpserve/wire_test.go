@@ -280,7 +280,7 @@ func TestBinaryQueryByteIdentical(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db, c.opts...)
-			h, err := New([]string{path}, Options{Workers: 2, FlushBatch: 8})
+			h, err := New([]string{path}, Options{FlushBatch: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -315,7 +315,7 @@ func TestBinaryQueryByteIdentical(t *testing.T) {
 func TestBinaryContentTypeAndLimit(t *testing.T) {
 	view, db := triangleFixture(t, 11)
 	path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db)
-	h, err := New([]string{path}, Options{Workers: 1})
+	h, err := New([]string{path}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestBinaryContentTypeAndLimit(t *testing.T) {
 func TestBinaryStreamTerminalError(t *testing.T) {
 	view, db := triangleFixture(t, 23)
 	path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db)
-	h, err := New([]string{path}, Options{Workers: 1})
+	h, err := New([]string{path}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,12 +375,7 @@ func TestBinaryStreamTerminalError(t *testing.T) {
 
 	boom := errors.New("page read failed")
 	entry := h.reg.Load().views["V"]
-	entry.srv.Close()
-	srv, err := core.NewServer(&failingSource{rep: rep, err: boom, after: 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entry.srv = srv
+	entry.src = &failingSource{rep: rep, err: boom, after: 2}
 
 	ts := httptest.NewServer(h)
 	defer ts.Close()
@@ -412,7 +407,7 @@ func TestBinaryStreamTerminalError(t *testing.T) {
 func TestBinaryStreamErrorBeforeFirstTuple(t *testing.T) {
 	view, db := triangleFixture(t, 29)
 	path, rep := compileAndSave(t, t.TempDir(), "v.cqs", view, db)
-	h, err := New([]string{path}, Options{Workers: 1})
+	h, err := New([]string{path}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,12 +415,7 @@ func TestBinaryStreamErrorBeforeFirstTuple(t *testing.T) {
 
 	boom := errors.New("page read failed")
 	entry := h.reg.Load().views["V"]
-	entry.srv.Close()
-	srv, err := core.NewServer(&failingSource{rep: rep, err: boom, after: 0}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entry.srv = srv
+	entry.src = &failingSource{rep: rep, err: boom, after: 0}
 
 	ts := httptest.NewServer(h)
 	defer ts.Close()

@@ -56,22 +56,29 @@ for w in "$W1" "$W2" "$W3"; do
     PIDS="$PIDS $!"
 done
 
-# Readiness: the coordinator reports ready only once every shard of every
-# view has an owner, so one poll loop covers the whole topology.
-ready=""
-for _ in $(seq 1 150); do
-    if curl -sf "http://$COORD/readyz" 2>/dev/null | grep -q '"ready":true'; then
-        ready=1
-        break
-    fi
-    sleep 0.1
-done
-[ -n "$ready" ] || { echo "coordinator not ready" >&2; curl -s "http://$COORD/readyz" >&2 || true; exit 1; }
-curl -sf "http://$SINGLE/readyz" | grep -q '"ready":true' || { echo "single node not ready" >&2; exit 1; }
-curl -sf "http://$COORD/healthz" > /dev/null || { echo "coordinator /healthz not 200" >&2; exit 1; }
+# wait_ready URL LABEL: poll URL/readyz for up to 15 s (150 x 0.1 s) until
+# it reports ready. Every process is polled, not probed once: a worker may
+# still be in its join backoff when the coordinator already is ready.
+wait_ready() {
+    for _ in $(seq 1 150); do
+        if curl -sf "$1/readyz" 2>/dev/null | grep -q '"ready":true'; then
+            return 0
+        fi
+        sleep 0.1
+    done
+    echo "$2 not ready" >&2
+    curl -s "$1/readyz" >&2 || true
+    exit 1
+}
+
+# The coordinator reports ready only once every shard of every view has an
+# owner; each worker reports ready once its join is confirmed.
+wait_ready "http://$COORD" "coordinator"
+wait_ready "http://$SINGLE" "single node"
 for w in "$W1" "$W2" "$W3"; do
-    curl -sf "http://$w/readyz" | grep -q '"ready":true' || { echo "worker $w not ready" >&2; exit 1; }
+    wait_ready "http://$w" "worker $w"
 done
+curl -sf "http://$COORD/healthz" > /dev/null || { echo "coordinator /healthz not 200" >&2; exit 1; }
 
 # verify_identity LABEL: every routed bound-key lookup (including a miss)
 # and the free enumeration must stream byte-identically from both tiers in
